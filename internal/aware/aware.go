@@ -11,19 +11,17 @@
 //   - date handled by predicate pushdown and an in-cache lookup table
 //     instead of a join (the date dimension has at most 2557 rows).
 //
-// The engine really executes every query over generated data — results are
-// exact and compared against the reference executor — while its memory
-// traffic is charged to the simulated machine, which produces the virtual
-// runtimes of Figure 14b and Table 1.
+// Every query really executes over generated data, once per data set in the
+// fact pass both engines share (ssb.Data.Facts) — results are exact and
+// compared against the reference executor. The engine builds its real Dash
+// indexes, counts the bucket reads its probes make, and charges its memory
+// traffic to the simulated machine, which produces the virtual runtimes of
+// Figure 14b and Table 1.
 package aware
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
-	"sync"
 
 	"repro/internal/access"
 	"repro/internal/arena"
@@ -68,10 +66,6 @@ type Options struct {
 	// intermediates stay in DRAM — the "traditional OLAP system" baseline
 	// of Section 6.2.
 	SSDScan bool
-	// ExecWorkers sets how many goroutines execute the fact pipeline on the
-	// host (0 = GOMAXPROCS). This is host-side execution parallelism; the
-	// *simulated* thread count is Threads.
-	ExecWorkers int
 	// HybridDims keeps the fact table on PMEM but places the dimension
 	// tables and Dash indexes in DRAM — the hybrid PMEM-DRAM design the
 	// paper names as future work (Sections 5.2, 9). Random-access-heavy
@@ -295,80 +289,6 @@ func (e *Engine) dimFootprint() int64 {
 	return b
 }
 
-// EncodedFact returns the fact table as the engine stores it: 128 B-encoded
-// tuples striped across the active sockets ("the fact table is shuffled and
-// striped across PMEM on both sockets"), one contiguous partition per
-// socket. The encoding is a pure function of the data set and every stripe
-// layout is a contiguous row range, so all layouts lazily slice one shared
-// encode. Queries execute over the decoded structs and only charge the
-// encoded footprint's traffic, so the bytes materialize on first call, not
-// at load. Callers must treat the returned buffers as read-only.
-func (e *Engine) EncodedFact() [][]byte {
-	data := e.data
-	encoded := data.Memo("aware/fact/encoded", func() any {
-		buf := make([]byte, len(data.Lineorder)*ssb.TupleBytes)
-		for i := range data.Lineorder {
-			encodeTuple(buf[i*ssb.TupleBytes:], &data.Lineorder[i])
-		}
-		return buf
-	}).([]byte)
-	return data.Memo(fmt.Sprintf("aware/fact/%d", e.opt.Sockets), func() any {
-		fact := make([][]byte, e.opt.Sockets)
-		rows := len(data.Lineorder)
-		per := (rows + e.opt.Sockets - 1) / e.opt.Sockets
-		for s := 0; s < e.opt.Sockets; s++ {
-			lo := s * per
-			hi := lo + per
-			if hi > rows {
-				hi = rows
-			}
-			fact[s] = encoded[lo*ssb.TupleBytes : hi*ssb.TupleBytes : hi*ssb.TupleBytes]
-		}
-		return fact
-	}).([][]byte)
-}
-
-// Tuple encoding offsets (fixed 128 B row, Section 6.2).
-func encodeTuple(dst []byte, lo *ssb.Lineorder) {
-	binary.LittleEndian.PutUint64(dst[0:], lo.OrderKey)
-	binary.LittleEndian.PutUint32(dst[8:], lo.CustKey)
-	binary.LittleEndian.PutUint32(dst[12:], lo.PartKey)
-	binary.LittleEndian.PutUint32(dst[16:], lo.SuppKey)
-	binary.LittleEndian.PutUint32(dst[20:], lo.OrderDate)
-	binary.LittleEndian.PutUint32(dst[24:], lo.ExtendedPrice)
-	binary.LittleEndian.PutUint32(dst[28:], lo.OrdTotalPrice)
-	binary.LittleEndian.PutUint32(dst[32:], lo.Revenue)
-	binary.LittleEndian.PutUint32(dst[36:], lo.SupplyCost)
-	binary.LittleEndian.PutUint32(dst[40:], lo.CommitDate)
-	dst[44] = lo.LineNumber
-	dst[45] = lo.OrdPriority
-	dst[46] = lo.ShipPriority
-	dst[47] = lo.Quantity
-	dst[48] = lo.Discount
-	dst[49] = lo.Tax
-	dst[50] = lo.ShipMode
-}
-
-type decoded struct {
-	custKey, partKey, suppKey, orderDate uint32
-	extendedPrice, revenue, supplyCost   uint32
-	quantity, discount                   uint8
-}
-
-func decodeTuple(src []byte) decoded {
-	return decoded{
-		custKey:       binary.LittleEndian.Uint32(src[8:]),
-		partKey:       binary.LittleEndian.Uint32(src[12:]),
-		suppKey:       binary.LittleEndian.Uint32(src[16:]),
-		orderDate:     binary.LittleEndian.Uint32(src[20:]),
-		extendedPrice: binary.LittleEndian.Uint32(src[24:]),
-		revenue:       binary.LittleEndian.Uint32(src[32:]),
-		supplyCost:    binary.LittleEndian.Uint32(src[36:]),
-		quantity:      src[47],
-		discount:      src[48],
-	}
-}
-
 // dimIndex is one built join index.
 type dimIndex struct {
 	name        string
@@ -376,111 +296,58 @@ type dimIndex struct {
 	entries     int
 	buildStats  dash.Stats
 	selectivity float64
-	// factStats snapshots the index's counters after the fact-phase probes
-	// (stats reset between build and probe). Memoized executions are shared
-	// across engines, so the traffic model reads this frozen copy rather
-	// than the live counters.
-	factStats dash.Stats
+	// probeReads is the bucket loads of the fact phase's probes into the
+	// index (set on memoized executions only).
+	probeReads int64
 }
 
-// factExec is one query's executed fact pipeline: the built indexes (in
-// build order, with fact-phase stats snapshots), the selectivity-sorted
-// probe order, and the exact result. It is a pure function of (data, query):
-// index contents depend only on the dimension filters, the probe loop is
-// deterministic per row, and the per-worker partial aggregates merge
-// commutatively — which is exactly what TestParallelExecutionDeterministic
-// asserts. Engines therefore share one execution per query via Data.Memo,
+// factExec is one query's join side: the built indexes (in build order),
+// the same indexes in probe order, and the query's shared facts, which hold
+// the exact result. It is a pure function of (data, query): index contents
+// depend only on the dimension filters and the probe counts only on the
+// facts. Engines therefore share one execution per query via Data.Memo,
 // no matter which device/thread/socket configuration they simulate.
 type factExec struct {
 	indexes    []*dimIndex
 	probeOrder []*dimIndex
-	qualifying int64
-	result     ssb.Result
+	facts      *ssb.Facts
 }
 
-// factExecFor builds (or recalls) the executed fact pipeline for q.
+// factExecFor builds (or recalls) the executed join side for q. Probes run
+// in the facts' selectivity order with the date predicate pushed into the
+// scan, so each index's probe keys and their frequencies are the facts'
+// ProbeFreq.
 func (e *Engine) factExecFor(q ssb.Query) *factExec {
 	return e.data.Memo("aware/exec/"+q.ID, func() any {
-		indexes := e.buildIndexes(q)
-		probeOrder := make([]*dimIndex, len(indexes))
-		copy(probeOrder, indexes)
-		sort.Slice(probeOrder, func(i, j int) bool {
-			return probeOrder[i].selectivity < probeOrder[j].selectivity
-		})
-		// Batch the probes: dimension keys are dense, so one Get per domain
-		// key materializes each index's answers (value, hit, bucket reads)
-		// into flat tables the row loop indexes instead of re-probing. The
-		// per-key read cost is a pure function of the key on a frozen index,
-		// so crediting the replayed reads back keeps the counters — and the
-		// traffic model reading them — byte-identical to per-row probing.
-		tables := make([]*probeTable, len(probeOrder))
-		for i, ix := range probeOrder {
-			tables[i] = buildProbeTable(e.data, ix)
+		f := e.data.Facts(q)
+		ex := &factExec{indexes: e.buildIndexes(q), facts: f}
+		for _, dim := range f.Dims {
+			for _, ix := range ex.indexes {
+				if ix.name == dim.Name {
+					ix.probeReads = probeReads(ix.ix, dim.ProbeFreq)
+					ex.probeOrder = append(ex.probeOrder, ix)
+				}
+			}
 		}
-		for _, ix := range probeOrder {
-			ix.ix.ResetStats()
-		}
-		result := ssb.Result{}
-		qualifying := e.executeFact(q, tables, result)
-		for _, ix := range indexes {
-			ix.factStats = ix.ix.Stats()
-		}
-		return &factExec{indexes: indexes, probeOrder: probeOrder, qualifying: qualifying, result: result}
+		return ex
 	}).(*factExec)
 }
 
-// probeTable is one dimension index's probe results materialized over its
-// dense key domain 1..n: ord/hit answer the join, reads is the exact
-// BucketReads delta a live Get for that key records.
-type probeTable struct {
-	ix    *dimIndex
-	ord   []uint32
-	hit   []bool
-	reads []uint8
-}
-
-// buildProbeTable probes every domain key once and snapshots the per-key
-// answers and stats deltas. The Gets it issues are discounted by the
-// ResetStats that follows table construction in factExecFor.
-func buildProbeTable(d *ssb.Data, ix *dimIndex) *probeTable {
-	var n int
-	switch ix.name {
-	case "customer":
-		n = len(d.Customer)
-	case "supplier":
-		n = len(d.Supplier)
-	case "part":
-		n = len(d.Part)
+// probeReads counts the bucket loads of probing ix freq[k] times with each
+// key k. A Get on a frozen index reads a number of buckets that is a pure
+// function of the key, so each probed key is looked up once and its reads
+// weighted by its frequency.
+func probeReads(ix *dash.Index, freq []int64) int64 {
+	var total int64
+	for k, n := range freq {
+		if n == 0 {
+			continue
+		}
+		before := ix.Stats().BucketReads
+		ix.Get(uint64(k))
+		total += n * (ix.Stats().BucketReads - before)
 	}
-	t := &probeTable{
-		ix:    ix,
-		ord:   make([]uint32, n+1),
-		hit:   make([]bool, n+1),
-		reads: make([]uint8, n+1),
-	}
-	before := ix.ix.Stats().BucketReads
-	for k := 1; k <= n; k++ {
-		v, hit := ix.ix.Get(uint64(k))
-		after := ix.ix.Stats().BucketReads
-		t.ord[k] = uint32(v)
-		t.hit[k] = hit
-		t.reads[k] = uint8(after - before)
-		before = after
-	}
-	return t
-}
-
-// lookup answers one probe from the table, accumulating the bucket reads
-// the equivalent live Get would have recorded. Keys outside the dense
-// domain (never produced by the generator) fall back to the live index so
-// the counters stay exact even then.
-func (t *probeTable) lookup(key uint32, reads *int64) (uint32, bool) {
-	if key == 0 || int(key) >= len(t.hit) {
-		v, hit := t.ix.ix.Get(uint64(key))
-		return uint32(v), hit
-	}
-	*reads += int64(t.reads[key])
-	return t.ord[key], t.hit[key]
+	return total
 }
 
 // Run executes one query and returns its exact result plus simulated timing.
@@ -493,7 +360,7 @@ func (e *Engine) Run(q ssb.Query) (QueryRun, error) {
 // ingested" scenario).
 func (e *Engine) runWith(q ssb.Query, extra []*machine.Stream) (QueryRun, error) {
 	exec := e.factExecFor(q)
-	run := QueryRun{ID: q.ID, Result: make(ssb.Result, len(exec.result)),
+	run := QueryRun{ID: q.ID, Result: make(ssb.Result, len(exec.facts.Result)),
 		Phases: make([]Phase, 0, 3)}
 
 	// --- Build phase: Dash indexes over the filtered dimensions. ---
@@ -503,15 +370,14 @@ func (e *Engine) runWith(q ssb.Query, extra []*machine.Stream) (QueryRun, error)
 	}
 	run.Phases = append(run.Phases, Phase{"build", buildSec})
 
-	// --- Fact phase: scan, probe, aggregate (really executed, shared
-	// across engines via the data memo). Copy the result: the memoized map
-	// is shared and callers may hold QueryRun.Result past this run.
-	for k, v := range exec.result {
+	// --- Fact phase: scan, probe, aggregate (executed once per data set
+	// by the shared fact pass). Copy the result: the memoized map is shared
+	// and callers may hold QueryRun.Result past this run.
+	for k, v := range exec.facts.Result {
 		run.Result[k] = v
 	}
-	qualifying := exec.qualifying
 
-	factSec, stats, err := e.simulateFactPhase(q, exec.probeOrder, qualifying, len(run.Result), extra)
+	factSec, stats, err := e.simulateFactPhase(q, exec.probeOrder, exec.facts.Qualifying, len(run.Result), extra)
 	if err != nil {
 		return run, err
 	}
@@ -526,119 +392,6 @@ func (e *Engine) runWith(q ssb.Query, extra []*machine.Stream) (QueryRun, error)
 		run.Seconds += ph.Seconds
 	}
 	return run, nil
-}
-
-// executeFact runs the scan-probe-aggregate pipeline over the real data,
-// in parallel: worker goroutines process disjoint row ranges with private
-// partial aggregates (exactly how the handcrafted C++ parallelizes), merged
-// at the end. Probes are answered from the precomputed per-key tables
-// (selectivity order preserved, including the early break on a miss); each
-// worker tallies the bucket reads its probes replay and the totals are
-// credited back to the indexes' atomic counters after the merge. Returns
-// the number of qualifying rows.
-func (e *Engine) executeFact(q ssb.Query, tables []*probeTable, out ssb.Result) int64 {
-	data := e.data
-	workers := e.opt.ExecWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(data.Lineorder) {
-		workers = 1
-	}
-
-	type partial struct {
-		result     ssb.Result
-		qualifying int64
-		reads      []int64 // replayed bucket reads, per table
-	}
-	parts := make([]partial, workers)
-	var wg sync.WaitGroup
-	chunk := (len(data.Lineorder) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(data.Lineorder) {
-			hi = len(data.Lineorder)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			// Group sums accumulate through an arena-backed Grouper: map
-			// lookups with a reusable key buffer don't allocate, so a key
-			// string is built only the first time its group appears.
-			grouper := ssb.NewGrouper()
-			reads := make([]int64, len(tables))
-			var qual int64
-			for i := lo; i < hi; i++ {
-				row := &data.Lineorder[i]
-				if q.LOFilter != nil && !q.LOFilter(row) {
-					continue
-				}
-				date := data.DateByKey(row.OrderDate)
-				if q.DateFilter != nil && !q.DateFilter(date) {
-					continue
-				}
-				var c *ssb.Customer
-				var s *ssb.Supplier
-				var p *ssb.Part
-				ok := true
-				for ti, t := range tables {
-					switch t.ix.name {
-					case "customer":
-						v, hit := t.lookup(row.CustKey, &reads[ti])
-						if !hit {
-							ok = false
-						} else {
-							c = &data.Customer[v]
-						}
-					case "supplier":
-						v, hit := t.lookup(row.SuppKey, &reads[ti])
-						if !hit {
-							ok = false
-						} else {
-							s = &data.Supplier[v]
-						}
-					case "part":
-						v, hit := t.lookup(row.PartKey, &reads[ti])
-						if !hit {
-							ok = false
-						} else {
-							p = &data.Part[v]
-						}
-					}
-					if !ok {
-						break
-					}
-				}
-				if !ok {
-					continue
-				}
-				qual++
-				grouper.Add(&q, row, date, c, s, p, q.Aggregate(row))
-			}
-			res := make(ssb.Result, grouper.Len())
-			grouper.Emit(res)
-			parts[w] = partial{result: res, qualifying: qual, reads: reads}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
-	var qualifying int64
-	for _, p := range parts {
-		qualifying += p.qualifying
-		for k, v := range p.result {
-			out[k] += v
-		}
-		for ti, n := range p.reads {
-			if n != 0 {
-				tables[ti].ix.ix.AddBucketReads(n)
-			}
-		}
-	}
-	return qualifying
 }
 
 // buildIndexes constructs the filtered Dash indexes the query needs.

@@ -116,7 +116,7 @@ func (e *Engine) simulateFactPhase(q ssb.Query, indexes []*dimIndex, qualifying 
 		}
 
 		for _, ix := range indexes {
-			probes := float64(ix.factStats.BucketReads) // fact-phase bucket loads
+			probes := float64(ix.probeReads) // fact-phase bucket loads
 			logical := probesLogical(ix)
 			// Cache footprint at target scale: the filtered entries grow with
 			// the dimension's cardinality; ~32 B of segment space per record
@@ -165,11 +165,10 @@ func (e *Engine) simulateFactPhase(q ssb.Query, indexes []*dimIndex, qualifying 
 }
 
 // probesLogical recovers the number of logical probes from the index's
-// fact-phase stats: hits read ~2 buckets, misses 2 (plus stash when
+// fact-phase bucket reads: hits read ~2 buckets, misses 2 (plus stash when
 // spilled); use the recorded reads divided by the average cost.
 func probesLogical(ix *dimIndex) float64 {
-	reads := float64(ix.factStats.BucketReads)
-	return reads / 2
+	return float64(ix.probeReads) / 2
 }
 
 type splitSpec struct {

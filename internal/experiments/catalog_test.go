@@ -1,0 +1,50 @@
+package experiments
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"strings"
+	"testing"
+
+	"repro/internal/ssb"
+)
+
+// TestCatalogSHA256Pin pins the whole catalogue's bytes absolutely: the
+// output of `experiments -quick -sf 0.05 -j 1` must hash to the digest the
+// repository benchmark checks every catalog run against. The golden is
+// only read here; a deliberate output change updates it in the benchmark.
+func TestCatalogSHA256Pin(t *testing.T) {
+	golden, err := os.ReadFile("../../benchmark/testdata/catalog.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	cfg := Config{SF: 0.05, Quick: true, Jobs: 1, SweepWidth: 1}
+	if _, err := RunList(context.Background(), cfg, All(), h); err != nil {
+		t.Fatalf("RunList: %v", err)
+	}
+	if got, want := hex.EncodeToString(h.Sum(nil)), strings.TrimSpace(string(golden)); got != want {
+		t.Errorf("catalogue sha256 %s, golden %s", got, want)
+	}
+}
+
+// TestSSBFactPassPerQuery: both SSB figures on one data set, four engines
+// between them, scan each query's fact rows once.
+func TestSSBFactPassPerQuery(t *testing.T) {
+	cfg := Config{SF: 0.0125, Quick: true} // a scale no other test shares
+	data := dataAt(cfg.SF)
+	if n := data.FactPasses(); n != 0 {
+		t.Fatalf("fresh data set already ran %d fact passes", n)
+	}
+	if _, err := fig14a(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fig14b(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := data.FactPasses(), int64(len(ssb.Queries())); got != want {
+		t.Errorf("fig14a + fig14b ran %d fact passes, want %d", got, want)
+	}
+}

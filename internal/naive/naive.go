@@ -13,15 +13,16 @@
 //     reads with 4x media amplification on PMEM;
 //   - intermediates materialized to the same memory between operators.
 //
-// Like the aware engine, it really executes the queries (results are exact)
-// and charges its traffic to the simulated machine; the timing gap between
-// the two engines on PMEM is Figure 14's headline contrast.
+// Like the aware engine, it answers the queries exactly from the fact pass
+// both engines share (ssb.Data.Facts), which also yields its join stages'
+// cardinalities, and charges its traffic to the simulated machine; the
+// timing gap between the two engines on PMEM is Figure 14's headline
+// contrast.
 package naive
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/access"
 	"repro/internal/arena"
@@ -233,33 +234,6 @@ func partAt(sf float64) int {
 	return int(200_000 * sf)
 }
 
-// dimSet is one build-side dimension: its surviving keys and selectivity.
-// Membership is a dense bitmap instead of a hash map: cust/supp/part keys
-// are dense and 1-based, and date keys decode to a calendar slot, so the
-// probe loop's map lookup becomes a bounds check plus an array load. The
-// surviving key set (and therefore every stage cardinality) is unchanged.
-type dimSet struct {
-	name    string
-	keep    []bool // indexed by key (cust/supp/part) or by dateSlot (date)
-	entries int    // surviving dim rows (former len(keep map))
-	sel     float64
-}
-
-// dateSlot maps a yyyymmdd key to the same dense calendar slot the ssb
-// package uses for its date index: (y-1992)*372 + (m-1)*31 + (day-1).
-// Returns -1 for keys outside the 1992..1998 calendar.
-func dateSlot(key uint32) int {
-	y := key / 10000
-	m := key / 100 % 100
-	dd := key % 100
-	if y < 1992 || y > 1998 || m < 1 || m > 12 || dd < 1 || dd > 31 {
-		return -1
-	}
-	return int((y-1992)*372 + (m-1)*31 + (dd-1))
-}
-
-const dateSlots = 7 * 372
-
 // joinStage is one hash-join operator in the pipeline.
 type joinStage struct {
 	dim        string
@@ -269,177 +243,43 @@ type joinStage struct {
 	first      bool  // stage reads the base column, later stages gather
 }
 
-// dimMeta is what the traffic model needs to know about one build-side
-// dimension after execution: the build maps themselves are not retained.
-type dimMeta struct {
-	name    string
-	entries int // filtered dim rows in the build-side map
-}
-
-// naiveExec is one query's executed plan. Like the aware engine's factExec
-// it is a pure function of (data, query) — the dimension filters, the
-// pipeline's stage cardinalities, and the exact result cannot depend on
-// which simulated machine the engine charges — so engines sharing a data
-// set share one execution via Data.Memo.
-type naiveExec struct {
-	dims          []dimMeta
-	scanSurvivors int64
-	stages        []joinStage
-	matched       int64
-	result        ssb.Result
-}
-
-// execFor builds (or recalls) the executed plan for q.
-func (e *Engine) execFor(q ssb.Query) *naiveExec {
-	return e.data.Memo("naive/exec/"+q.ID, func() any {
-		d := e.data
-
-		// Build-side hash maps over the filtered dimensions. Hyrise joins the
-		// date dimension like any other table (no predicate pushdown into date
-		// arithmetic — that is exactly the PMEM-aware trick it lacks).
-		var dims []dimSet
-		if q.DateFilter != nil || q.GroupBy != nil {
-			keep := make([]bool, dateSlots)
-			n := 0
-			for i := range d.Date {
-				if q.DateFilter == nil || q.DateFilter(&d.Date[i]) {
-					keep[dateSlot(d.Date[i].DateKey)] = true
-					n++
-				}
-			}
-			dims = append(dims, dimSet{"date", keep, n, float64(n) / float64(len(d.Date))})
-		}
-		if q.NeedsCust {
-			keep := make([]bool, len(d.Customer)+1)
-			n := 0
-			for i := range d.Customer {
-				if q.CustFilter == nil || q.CustFilter(&d.Customer[i]) {
-					keep[d.Customer[i].CustKey] = true
-					n++
-				}
-			}
-			dims = append(dims, dimSet{"customer", keep, n, float64(n) / float64(len(d.Customer))})
-		}
-		if q.NeedsSupp {
-			keep := make([]bool, len(d.Supplier)+1)
-			n := 0
-			for i := range d.Supplier {
-				if q.SuppFilter == nil || q.SuppFilter(&d.Supplier[i]) {
-					keep[d.Supplier[i].SuppKey] = true
-					n++
-				}
-			}
-			dims = append(dims, dimSet{"supplier", keep, n, float64(n) / float64(len(d.Supplier))})
-		}
-		if q.NeedsPart {
-			keep := make([]bool, len(d.Part)+1)
-			n := 0
-			for i := range d.Part {
-				if q.PartFilter == nil || q.PartFilter(&d.Part[i]) {
-					keep[d.Part[i].PartKey] = true
-					n++
-				}
-			}
-			dims = append(dims, dimSet{"part", keep, n, float64(n) / float64(len(d.Part))})
-		}
-		sort.Slice(dims, func(i, j int) bool { return dims[i].sel < dims[j].sel })
-
-		// Fact pipeline: a column scan for the fact-local predicates, then one
-		// hash-join stage per dimension, then the aggregate. Really executed.
-		survivors := make([]int32, 0, len(d.Lineorder)/8)
-		for i := range d.Lineorder {
-			if q.LOFilter == nil || q.LOFilter(&d.Lineorder[i]) {
-				survivors = append(survivors, int32(i))
-			}
-		}
-
-		ex := &naiveExec{scanSurvivors: int64(len(survivors)), result: ssb.Result{}}
-
-		// One fused pass over the scan survivors: each row walks the join
-		// stages in selectivity order until its first miss, bumping the
-		// per-stage survivor counters, and rows passing every stage are
-		// aggregated immediately. Stage cardinalities are exactly what the
-		// staged (materialize-per-operator) execution produced — probesIn of
-		// stage i is stage i-1's survivors — because each stage's survivor
-		// set is the same rows in the same order.
-		counts := make([]int64, len(dims))
-		grouper := ssb.NewGrouper()
-		for _, ri := range survivors {
-			lo := &d.Lineorder[ri]
-			passed := 0
-			for si := range dims {
-				keep := dims[si].keep
-				ok := false
-				switch dims[si].name {
-				case "date":
-					s := dateSlot(lo.OrderDate)
-					ok = s >= 0 && keep[s]
-				case "customer":
-					ok = int(lo.CustKey) < len(keep) && keep[lo.CustKey]
-				case "supplier":
-					ok = int(lo.SuppKey) < len(keep) && keep[lo.SuppKey]
-				case "part":
-					ok = int(lo.PartKey) < len(keep) && keep[lo.PartKey]
-				}
-				if !ok {
-					break
-				}
-				counts[si]++
-				passed++
-			}
-			if passed < len(dims) {
-				continue
-			}
-			// Aggregate the fully matched row (exact result).
-			date := d.DateByKey(lo.OrderDate)
-			var c *ssb.Customer
-			var s *ssb.Supplier
-			var p *ssb.Part
-			if q.NeedsCust {
-				c = d.CustomerByKey(lo.CustKey)
-			}
-			if q.NeedsSupp {
-				s = d.SupplierByKey(lo.SuppKey)
-			}
-			if q.NeedsPart {
-				p = d.PartByKey(lo.PartKey)
-			}
-			grouper.Add(&q, lo, date, c, s, p, q.Aggregate(lo))
-		}
-		grouper.Emit(ex.result)
-
-		in := int64(len(survivors))
-		for si, ds := range dims {
-			ex.dims = append(ex.dims, dimMeta{name: ds.name, entries: ds.entries})
-			ex.stages = append(ex.stages, joinStage{
-				dim: ds.name, mapEntries: ds.entries,
-				probesIn: in, survivors: counts[si], first: si == 0,
-			})
-			in = counts[si]
-		}
-		ex.matched = in
-		return ex
-	}).(*naiveExec)
+// stagesOf reads the pipeline's stage cardinalities off the query's shared
+// facts. Hyrise joins the date dimension like any other table (no
+// predicate pushdown into date arithmetic, which is exactly the PMEM-aware
+// trick it lacks), one hash-join stage per dimension in selectivity order:
+// a stage's probes are the previous stage's survivors.
+func stagesOf(f *ssb.Facts) []joinStage {
+	stages := make([]joinStage, len(f.Dims))
+	in := f.ScanSurvivors
+	set := uint(0)
+	for si, dim := range f.Dims {
+		set |= 1 << si
+		out := f.Passing(set)
+		stages[si] = joinStage{dim: dim.Name, mapEntries: dim.Entries,
+			probesIn: in, survivors: out, first: si == 0}
+		in = out
+	}
+	return stages
 }
 
 // Run executes one query.
 func (e *Engine) Run(q ssb.Query) (QueryRun, error) {
-	ex := e.execFor(q)
-	run := QueryRun{ID: q.ID, Result: make(ssb.Result, len(ex.result)),
+	f := e.data.Facts(q)
+	run := QueryRun{ID: q.ID, Result: make(ssb.Result, len(f.Result)),
 		Phases: make([]Phase, 0, 2)}
 
-	buildSec, err := e.simulateBuild(ex.dims)
+	buildSec, err := e.simulateBuild(f.Dims)
 	if err != nil {
 		return run, err
 	}
 	run.Phases = append(run.Phases, Phase{"dim-scan+build", buildSec})
 
-	// Copy the exact result out of the shared memo.
-	for k, v := range ex.result {
+	// Copy the exact result out of the shared facts.
+	for k, v := range f.Result {
 		run.Result[k] = v
 	}
 
-	factSec, stats, err := e.simulatePipeline(q, ex.scanSurvivors, ex.stages, ex.matched)
+	factSec, stats, err := e.simulatePipeline(q, stagesOf(f), f.Qualifying)
 	if err != nil {
 		return run, err
 	}

@@ -9,7 +9,7 @@ import (
 
 // simulateBuild charges the dimension scans plus the chained-map node
 // writes: small random writes, the pattern Section 4.1 warns about.
-func (e *Engine) simulateBuild(dims []dimMeta) (float64, error) {
+func (e *Engine) simulateBuild(dims []ssb.DimFacts) (float64, error) {
 	if len(dims) == 0 {
 		return 0, nil
 	}
@@ -17,10 +17,10 @@ func (e *Engine) simulateBuild(dims []dimMeta) (float64, error) {
 	e.streamArena.Reset()
 	streams := e.streamBuf[:0]
 	for i, ds := range dims {
-		scale := e.dimScale[ds.name]
-		rows := float64(e.dimRowsOf(ds.name)) * scale
-		entries := float64(ds.entries) * scale
-		labels := e.buildLabelsFor(ds.name)
+		scale := e.dimScale[ds.Name]
+		rows := float64(e.dimRowsOf(ds.Name)) * scale
+		entries := float64(ds.Entries) * scale
+		labels := e.buildLabelsFor(ds.Name)
 		scan := e.streamArena.Alloc()
 		*scan = machine.Stream{
 			Label:      labels[0],
@@ -73,7 +73,7 @@ func (e *Engine) dimRowsOf(name string) int {
 // (probes + reference-segment gathers + materialization), and the final
 // aggregate. Stages are pipeline breakers and run sequentially, as Hyrise's
 // operators do.
-func (e *Engine) simulatePipeline(q ssb.Query, scanSurvivors int64, stages []joinStage, finalRows int64) (float64, Stats, error) {
+func (e *Engine) simulatePipeline(q ssb.Query, stages []joinStage, finalRows int64) (float64, Stats, error) {
 	rows := float64(len(e.data.Lineorder))
 	stats := Stats{}
 	var total float64

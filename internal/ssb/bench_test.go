@@ -21,3 +21,16 @@ func BenchmarkReferenceQ21(b *testing.B) {
 		Reference(d, q)
 	}
 }
+
+// BenchmarkFactPass runs the shared fact pass for all 13 queries on one
+// worker, the per-data-set query work of the SSB experiments.
+func BenchmarkFactPass(b *testing.B) {
+	d := MustGenerate(0.05)
+	qs := Queries()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range qs {
+			d.factsWith(q, 1)
+		}
+	}
+}

@@ -2,7 +2,9 @@ package ssb
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
+	"sync"
 	"time"
 )
 
@@ -107,21 +109,17 @@ func Generate(sf float64) (*Data, error) {
 	}
 	d := &Data{SF: sf}
 	d.Date = genDates()
-	d.dateByKey = make(map[uint32]*Date, len(d.Date))
-	d.dateIdx = make([]int32, 7*372)
+	d.dateIdx = make([]int32, DateSlots)
 	for i := range d.dateIdx {
 		d.dateIdx[i] = -1
 	}
 	for i := range d.Date {
-		k := d.Date[i].DateKey
-		d.dateByKey[k] = &d.Date[i]
-		y, m, dd := k/10000, k/100%100, k%100
-		d.dateIdx[(y-1992)*372+(m-1)*31+(dd-1)] = int32(i)
+		d.dateIdx[DateSlot(d.Date[i].DateKey)] = int32(i)
 	}
 	d.Customer = genCustomers(customerCount(sf))
 	d.Supplier = genSuppliers(supplierCount(sf))
 	d.Part = genParts(partCount(sf))
-	d.Lineorder = genLineorders(d, lineorderCount(sf))
+	d.Lineorder, d.orderSlot = genLineorders(d, lineorderCount(sf), runtime.GOMAXPROCS(0))
 	return d, nil
 }
 
@@ -327,39 +325,73 @@ func genParts(n int) []Part {
 	return out
 }
 
-func genLineorders(d *Data, n int) []Lineorder {
+// genLineorders generates n fact rows and their order-date slots on the
+// given number of goroutines. Each row draws from its own newRNG(4, i), so
+// the rows are the same for any worker count.
+func genLineorders(d *Data, n, workers int) ([]Lineorder, []int16) {
 	out := make([]Lineorder, n)
-	nDates := len(d.Date)
-	for i := range out {
-		r := newRNG(4, uint64(i))
-		quantity := uint8(r.rangeInt(1, 50))
-		extended := uint32(r.rangeInt(90_000, 10_494_950)) // cents, ~$900-$104,949
-		discount := uint8(r.rangeInt(0, 10))
-		revenue := uint32(uint64(extended) * uint64(100-discount) / 100)
-		orderDateIdx := r.intn(nDates)
-		commitIdx := orderDateIdx + r.rangeInt(30, 90)
-		if commitIdx >= nDates {
-			commitIdx = nDates - 1
-		}
-		out[i] = Lineorder{
-			OrderKey:      uint64(i/4 + 1), // ~4 lines per order
-			LineNumber:    uint8(i%4 + 1),
-			CustKey:       uint32(r.intn(len(d.Customer)) + 1),
-			PartKey:       uint32(r.intn(len(d.Part)) + 1),
-			SuppKey:       uint32(r.intn(len(d.Supplier)) + 1),
-			OrderDate:     d.Date[orderDateIdx].DateKey,
-			OrdPriority:   uint8(r.intn(5)),
-			ShipPriority:  0,
-			Quantity:      quantity,
-			ExtendedPrice: extended,
-			OrdTotalPrice: extended * uint32(r.rangeInt(1, 7)),
-			Discount:      discount,
-			Revenue:       revenue,
-			SupplyCost:    uint32(6 * int(extended) / 10),
-			Tax:           uint8(r.rangeInt(0, 8)),
-			CommitDate:    d.Date[commitIdx].DateKey,
-			ShipMode:      uint8(r.intn(len(shipModes))),
-		}
+	slots := make([]int16, n)
+	dateSlots := make([]int16, len(d.Date))
+	for i := range d.Date {
+		dateSlots[i] = int16(DateSlot(d.Date[i].DateKey))
 	}
-	return out
+	parallelRange(n, workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i], slots[i] = genLineorder(d, i, dateSlots)
+		}
+	})
+	return out, slots
+}
+
+func genLineorder(d *Data, i int, dateSlots []int16) (Lineorder, int16) {
+	nDates := len(d.Date)
+	r := newRNG(4, uint64(i))
+	quantity := uint8(r.rangeInt(1, 50))
+	extended := uint32(r.rangeInt(90_000, 10_494_950)) // cents, ~$900-$104,949
+	discount := uint8(r.rangeInt(0, 10))
+	revenue := uint32(uint64(extended) * uint64(100-discount) / 100)
+	orderDateIdx := r.intn(nDates)
+	commitIdx := orderDateIdx + r.rangeInt(30, 90)
+	if commitIdx >= nDates {
+		commitIdx = nDates - 1
+	}
+	return Lineorder{
+		OrderKey:      uint64(i/4 + 1), // ~4 lines per order
+		LineNumber:    uint8(i%4 + 1),
+		CustKey:       uint32(r.intn(len(d.Customer)) + 1),
+		PartKey:       uint32(r.intn(len(d.Part)) + 1),
+		SuppKey:       uint32(r.intn(len(d.Supplier)) + 1),
+		OrderDate:     d.Date[orderDateIdx].DateKey,
+		OrdPriority:   uint8(r.intn(5)),
+		ShipPriority:  0,
+		Quantity:      quantity,
+		ExtendedPrice: extended,
+		OrdTotalPrice: extended * uint32(r.rangeInt(1, 7)),
+		Discount:      discount,
+		Revenue:       revenue,
+		SupplyCost:    uint32(6 * int(extended) / 10),
+		Tax:           uint8(r.rangeInt(0, 8)),
+		CommitDate:    d.Date[commitIdx].DateKey,
+		ShipMode:      uint8(r.intn(len(shipModes))),
+	}, dateSlots[orderDateIdx]
+}
+
+// parallelRange splits [0, n) into at most workers contiguous ranges and
+// runs fn(w, lo, hi) on each in its own goroutine, w numbering the ranges
+// from 0 in row order. It returns when all are done.
+func parallelRange(n, workers int, fn func(w, lo, hi int)) {
+	if workers <= 1 || n <= 1 {
+		fn(0, 0, n)
+		return
+	}
+	chunk := (n + workers - 1) / workers
+	var wg sync.WaitGroup
+	for w, lo := 0, 0; lo < n; w, lo = w+1, lo+chunk {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(w, lo, min(lo+chunk, n))
+		}()
+	}
+	wg.Wait()
 }

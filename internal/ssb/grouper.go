@@ -6,11 +6,10 @@ import "repro/internal/arena"
 // without per-row allocations. Sums live behind pointers so the hot path is
 // a non-allocating map lookup with a reusable key buffer (a key string is
 // built only the first time its group appears), and the sums themselves come
-// from a slab arena so repeated executions on a warmed Grouper reach a
-// steady state of zero allocations per row.
+// from a slab arena, not one allocation per group.
 //
-// A Grouper is not safe for concurrent use; parallel engines give each
-// worker its own and merge the emitted results.
+// A Grouper is not safe for concurrent use; the fact pass gives each worker
+// its own and merges the emitted results.
 type Grouper struct {
 	groups map[string]*int64
 	sums   *arena.Arena[int64]
@@ -40,19 +39,9 @@ func (g *Grouper) Add(q *Query, lo *Lineorder, d *Date, c *Customer, s *Supplier
 	g.groups[string(g.kbuf)] = sum
 }
 
-// Len reports the number of distinct groups accumulated.
-func (g *Grouper) Len() int { return len(g.groups) }
-
 // Emit adds the accumulated sums into out.
 func (g *Grouper) Emit(out Result) {
 	for k, v := range g.groups {
 		out[k] += *v
 	}
-}
-
-// Reset clears the accumulator for reuse, keeping map and arena capacity.
-func (g *Grouper) Reset() {
-	clear(g.groups)
-	g.sums.Reset()
-	g.kbuf = g.kbuf[:0]
 }

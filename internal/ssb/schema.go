@@ -8,6 +8,7 @@ package ssb
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Lineorder is the fact table row. Monetary values are in cents; discount
@@ -103,57 +104,77 @@ type Data struct {
 	Part      []Part
 	Date      []Date
 
-	// Key-indexed lookup maps (dimension keys are dense, but Date is keyed
-	// by yyyymmdd; these maps are what a query engine would build once).
-	dateByKey map[uint32]*Date
-	// dateIdx is a dense yyyymmdd decoding of dateByKey: slot
-	// (y-1992)*372 + (m-1)*31 + (day-1), -1 for days outside the calendar.
-	// Scan loops hit DateByKey once per fact row, so the map lookup shows
-	// up in profiles; the dense form is a bounds check and an array load.
+	// dateIdx maps a DateSlot to its row in Date, -1 for slots that name
+	// no calendar day. Dimension keys other than the date's are dense and
+	// 1-based, so every key lookup is an array index.
 	dateIdx []int32
+	// orderSlot is DateSlot(Lineorder[i].OrderDate), computed at
+	// generation, so fact passes join the date dimension without decoding
+	// yyyymmdd once per row.
+	orderSlot []int16
 
 	// memo caches query-execution artifacts that are pure functions of the
-	// generated data (encoded fact tables, per-query join results). The
+	// generated data (the shared fact pass, engine join indexes). The
 	// engines re-execute every query on every machine configuration; the
 	// answers cannot differ, only the simulated traffic charged for them.
 	memoMu sync.Mutex
-	memo   map[string]any
+	memo   map[string]*memoEntry
+	// factPasses counts the fact passes run on this data set.
+	factPasses atomic.Int64
+}
+
+// memoEntry is one memoized value; once guards its single build.
+type memoEntry struct {
+	once sync.Once
+	v    any
 }
 
 // Memo returns the value cached under key, computing it with build on first
-// use. Builds run under the data's lock, so concurrent callers of the same
-// key compute it once and mutate nothing shared. build must be a pure
-// function of the (immutable) data set, and callers must not modify the
-// returned value.
+// use. Concurrent callers of one key wait for a single build; builds of
+// different keys run concurrently, and a build may call Memo for another
+// key. build must be a pure function of the (immutable) data set, must not
+// ask (directly or through other keys) for its own key, and callers must
+// not modify the returned value.
 func (d *Data) Memo(key string, build func() any) any {
 	d.memoMu.Lock()
-	defer d.memoMu.Unlock()
-	if v, ok := d.memo[key]; ok {
-		return v
+	e, ok := d.memo[key]
+	if !ok {
+		if d.memo == nil {
+			d.memo = make(map[string]*memoEntry)
+		}
+		e = &memoEntry{}
+		d.memo[key] = e
 	}
-	if d.memo == nil {
-		d.memo = make(map[string]any)
+	d.memoMu.Unlock()
+	e.once.Do(func() { e.v = build() })
+	return e.v
+}
+
+// DateSlots is the number of calendar slots DateSlot can return.
+const DateSlots = 7 * 372
+
+// DateSlot maps a yyyymmdd key to a dense calendar slot,
+// (y-1992)*372 + (m-1)*31 + (day-1), or -1 for keys outside 1992..1998.
+// Every day of the calendar gets its own slot; a few slots (Feb 30 and
+// the like) name no day.
+func DateSlot(key uint32) int {
+	y := key / 10000
+	m := key / 100 % 100
+	dd := key % 100
+	if y < 1992 || y > 1998 || m < 1 || m > 12 || dd < 1 || dd > 31 {
+		return -1
 	}
-	v := build()
-	d.memo[key] = v
-	return v
+	return int((y-1992)*372 + (m-1)*31 + (dd - 1))
 }
 
 // DateByKey returns the date row for a yyyymmdd key.
 func (d *Data) DateByKey(key uint32) *Date {
-	if d.dateIdx != nil {
-		y := key / 10000
-		m := key / 100 % 100
-		dd := key % 100
-		if y < 1992 || y > 1998 || m < 1 || m > 12 || dd < 1 || dd > 31 {
-			return nil
-		}
-		if ix := d.dateIdx[(y-1992)*372+(m-1)*31+(dd-1)]; ix >= 0 {
+	if s := DateSlot(key); s >= 0 {
+		if ix := d.dateIdx[s]; ix >= 0 {
 			return &d.Date[ix]
 		}
-		return nil
 	}
-	return d.dateByKey[key]
+	return nil
 }
 
 // CustomerByKey returns the customer with the given (1-based, dense) key.
