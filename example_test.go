@@ -66,6 +66,6 @@ func ExampleGenerateSSB() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(len(data.Lineorder), "fact rows,", len(data.Date), "days")
+	fmt.Println(data.Rows(), "fact rows,", len(data.Date), "days")
 	// Output: 60000 fact rows, 2557 days
 }

@@ -191,7 +191,7 @@ func New(m *machine.Machine, data *ssb.Data, opt Options) (*Engine, error) {
 		buildPlace:  map[[2]int][]cpu.Placement{},
 		labels:      map[labelKey]string{},
 	}
-	e.factScale = float64(rowsAt(opt.TargetSF)) / float64(len(data.Lineorder))
+	e.factScale = float64(rowsAt(opt.TargetSF)) / float64(data.Rows())
 	e.dimScale = map[string]float64{
 		"customer": scaleOf(len(data.Customer), custAt(opt.TargetSF)),
 		"supplier": scaleOf(len(data.Supplier), suppAt(opt.TargetSF)),

@@ -32,7 +32,7 @@ func (e *Engine) SimulateLoad(writeThreadsPerSocket int) (LoadReport, error) {
 		writeThreadsPerSocket = 6
 	}
 	rep := LoadReport{
-		FactBytes: int64(float64(len(e.data.Lineorder)) * e.factScale * ssb.TupleBytes),
+		FactBytes: int64(float64(e.data.Rows()) * e.factScale * ssb.TupleBytes),
 		DimBytes:  e.dimFootprint() * int64(e.activeSockets()),
 	}
 

@@ -23,8 +23,9 @@ func probeReplay(e *Engine, q ssb.Query) (map[string]int64, []string, int64, ssb
 	}
 	var qualifying int64
 	res := ssb.Result{}
-	for i := range d.Lineorder {
-		row := &d.Lineorder[i]
+	for i := range d.Rows() {
+		lo := d.Row(i)
+		row := &lo
 		if q.LOFilter != nil && !q.LOFilter(row) {
 			continue
 		}

@@ -75,7 +75,7 @@ func dimRows(d *ssb.Data, name string) int {
 // simulateFactPhase charges the dominant phase: the parallel fact-table scan
 // with Dash probes and aggregation.
 func (e *Engine) simulateFactPhase(q ssb.Query, indexes []*dimIndex, qualifying int64, groups int, extra []*machine.Stream) (float64, Stats, error) {
-	rows := int64(len(e.data.Lineorder))
+	rows := int64(e.data.Rows())
 	stats := Stats{
 		TuplesScanned:  int64(float64(rows) * e.factScale),
 		BytesScanned:   int64(float64(rows) * e.factScale * ssb.TupleBytes),

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"sync"
+
 	"repro/internal/access"
 	"repro/internal/cpu"
 	"repro/internal/machine"
@@ -8,6 +10,48 @@ import (
 	"repro/internal/units"
 	"repro/internal/workload"
 )
+
+// ext05's fact table: 70 GB of ext05Tuples tuples.
+const (
+	ext05Tuples     = 200_000
+	ext05TotalBytes = 70 * units.GB
+)
+
+// ext05Cases are the partitioning schemes and key skews ext05 compares.
+var ext05Cases = []struct {
+	label  string
+	scheme partition.Scheme
+	skew   float64
+}{
+	{"round-robin / uniform", partition.RoundRobin, 0},
+	{"round-robin / zipf", partition.RoundRobin, 1.1},
+	{"hash / zipf", partition.ByHash, 1.1},
+	{"range / uniform", partition.ByRange, 0},
+	{"range / zipf", partition.ByRange, 1.1},
+}
+
+// ext05Assignments partitions each case's keys across the two sockets,
+// once per process: the keys and assignments depend only on constants
+// (ZipfKeys' math.Pow per key dominated a warm ext05 run). Only the
+// per-socket counts are kept, not the per-tuple sockets.
+var ext05Assignments = sync.OnceValues(func() ([]partition.Assignment, error) {
+	keysBySkew := map[float64][]uint64{}
+	asgs := make([]partition.Assignment, len(ext05Cases))
+	for i, c := range ext05Cases {
+		keys, ok := keysBySkew[c.skew]
+		if !ok {
+			keys = partition.ZipfKeys(ext05Tuples, 1<<24, c.skew, 11)
+			keysBySkew[c.skew] = keys
+		}
+		asg, err := partition.Partition(keys, 2, c.scheme)
+		if err != nil {
+			return nil, err
+		}
+		asg.Of = nil
+		asgs[i] = asg
+	}
+	return asgs, nil
+})
 
 func init() {
 	register("ext05", "Extension: partitioning schemes under skew (Sections 3.5, 6.2)", extPartition)
@@ -23,38 +67,16 @@ func extPartition(cfg Config) ([]Table, error) {
 		Header: "scheme/skew", Cols: []string{"imbalance", "scan GB/s"},
 		Paper: "Insight #5: stripe evenly; the paper defers skew handling to partitioning research"}
 
-	const tuples = 200_000
-	const totalBytes = 70 * units.GB
-
-	cases := []struct {
-		label  string
-		scheme partition.Scheme
-		skew   float64
-	}{
-		{"round-robin / uniform", partition.RoundRobin, 0},
-		{"round-robin / zipf", partition.RoundRobin, 1.1},
-		{"hash / zipf", partition.ByHash, 1.1},
-		{"range / uniform", partition.ByRange, 0},
-		{"range / zipf", partition.ByRange, 1.1},
+	asgs, err := ext05Assignments()
+	if err != nil {
+		return nil, err
 	}
-	// ZipfKeys is deterministic in (n, domain, s, seed) and several cases
-	// share a skew, so generate each key set once (Pow per key dominates).
-	keysBySkew := map[float64][]uint64{}
-	for _, c := range cases {
-		keys, ok := keysBySkew[c.skew]
-		if !ok {
-			keys = partition.ZipfKeys(tuples, 1<<24, c.skew, 11)
-			keysBySkew[c.skew] = keys
-		}
-		asg, err := partition.Partition(keys, 2, c.scheme)
-		if err != nil {
-			return nil, err
-		}
-
+	for i, c := range ext05Cases {
+		asg := asgs[i]
 		m := machine.MustNew(cfg.MachineConfig())
 		var specs []workload.Spec
 		for s := 0; s < 2; s++ {
-			bytes := int64(float64(totalBytes) * float64(asg.Counts[s]) / float64(tuples))
+			bytes := int64(float64(ext05TotalBytes) * float64(asg.Counts[s]) / float64(ext05Tuples))
 			if bytes < 4096 {
 				bytes = 4096
 			}

@@ -9,8 +9,8 @@ import (
 
 // TestWarmRunSteadyAllocs is the machine-level twin of the fluid package's
 // TestSolverSteadyZeroAllocs: once a machine has run a stream population,
-// re-running the identical population takes the warm-started solve path and
-// must stay within a handful of allocations per run (the result slice, the
+// re-running the identical population reuses the run model and the solver
+// scratch and must stay within a handful of allocations per run (the result slice, the
 // peak-utilization map) — no per-solve garbage, no run-model rebuilds.
 func TestWarmRunSteadyAllocs(t *testing.T) {
 	m := MustNew(DefaultConfig())
@@ -38,6 +38,6 @@ func TestWarmRunSteadyAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); n > maxAllocs {
-		t.Errorf("warm-started Run allocates %.0f/op, want <= %d", n, maxAllocs)
+		t.Errorf("warmed Run allocates %.0f/op, want <= %d", n, maxAllocs)
 	}
 }

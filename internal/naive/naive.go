@@ -188,7 +188,7 @@ func New(m *machine.Machine, data *ssb.Data, opt Options) (*Engine, error) {
 		buildLabels: map[string][2]string{},
 		joinNames:   map[string]string{},
 	}
-	e.factScale = float64(int64(6_000_000*opt.TargetSF)) / float64(len(data.Lineorder))
+	e.factScale = float64(int64(6_000_000*opt.TargetSF)) / float64(data.Rows())
 	e.dimScale = map[string]float64{
 		"customer": float64(int(30_000*opt.TargetSF)) / float64(len(data.Customer)),
 		"supplier": float64(int(2_000*opt.TargetSF)) / float64(len(data.Supplier)),

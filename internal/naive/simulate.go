@@ -74,7 +74,7 @@ func (e *Engine) dimRowsOf(name string) int {
 // aggregate. Stages are pipeline breakers and run sequentially, as Hyrise's
 // operators do.
 func (e *Engine) simulatePipeline(q ssb.Query, stages []joinStage, finalRows int64) (float64, Stats, error) {
-	rows := float64(len(e.data.Lineorder))
+	rows := float64(e.data.Rows())
 	stats := Stats{}
 	var total float64
 

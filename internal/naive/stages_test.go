@@ -52,9 +52,13 @@ func stagedExecution(d *ssb.Data, q ssb.Query) ([]joinStage, ssb.Result) {
 	}
 	sort.Slice(dims, func(i, j int) bool { return dims[i].sel < dims[j].sel })
 
+	rows := make([]ssb.Lineorder, d.Rows())
+	for i := range rows {
+		rows[i] = d.Row(i)
+	}
 	var survivors []int
-	for i := range d.Lineorder {
-		if q.LOFilter == nil || q.LOFilter(&d.Lineorder[i]) {
+	for i := range rows {
+		if q.LOFilter == nil || q.LOFilter(&rows[i]) {
 			survivors = append(survivors, i)
 		}
 	}
@@ -64,7 +68,7 @@ func stagedExecution(d *ssb.Data, q ssb.Query) ([]joinStage, ssb.Result) {
 			probesIn: int64(len(survivors)), first: si == 0}
 		var next []int
 		for _, i := range survivors {
-			if ds.keep[ds.key(&d.Lineorder[i])] {
+			if ds.keep[ds.key(&rows[i])] {
 				next = append(next, i)
 			}
 		}
@@ -73,7 +77,7 @@ func stagedExecution(d *ssb.Data, q ssb.Query) ([]joinStage, ssb.Result) {
 	}
 	res := ssb.Result{}
 	for _, i := range survivors {
-		lo := &d.Lineorder[i]
+		lo := &rows[i]
 		key := ""
 		if q.GroupBy != nil {
 			key = q.GroupBy(lo, d.DateByKey(lo.OrderDate), d.CustomerByKey(lo.CustKey),

@@ -19,8 +19,8 @@ func WriteTable(w io.Writer, d *Data, table string) error {
 	var err error
 	switch table {
 	case "lineorder":
-		for i := range d.Lineorder {
-			lo := &d.Lineorder[i]
+		for i := 0; i < d.Rows(); i++ {
+			lo := d.Row(i)
 			_, err = fmt.Fprintf(bw, "%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%s|\n",
 				lo.OrderKey, lo.LineNumber, lo.CustKey, lo.PartKey, lo.SuppKey,
 				lo.OrderDate, lo.OrdPriority, lo.ShipPriority, lo.Quantity,

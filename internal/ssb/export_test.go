@@ -16,7 +16,7 @@ func TestWriteTableRowAndFieldCounts(t *testing.T) {
 		"date":      16,
 	}
 	rowCounts := map[string]int{
-		"lineorder": len(d.Lineorder),
+		"lineorder": d.Rows(),
 		"customer":  len(d.Customer),
 		"supplier":  len(d.Supplier),
 		"part":      len(d.Part),

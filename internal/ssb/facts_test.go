@@ -2,6 +2,7 @@ package ssb
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -30,18 +31,85 @@ func TestFactsMatchReference(t *testing.T) {
 	}
 }
 
-// TestFactsWorkerCountInvariant: the pass's worker split (including counts
-// that do not divide the rows evenly) changes nothing it reports.
+// TestFactsWorkerCountInvariant: the fused pass's worker split (including
+// counts that do not divide the rows evenly) changes nothing it reports for
+// any of the 13 queries it serves at once.
 func TestFactsWorkerCountInvariant(t *testing.T) {
 	d := factsData()
-	for _, q := range Queries() {
-		one := d.factsWith(q, 1)
-		for _, w := range []int{2, 7} {
-			if got := d.factsWith(q, w); !reflect.DeepEqual(got, one) {
+	qs := Queries()
+	one := d.factPass(qs, 1)
+	for _, w := range []int{2, 7} {
+		got := d.factPass(qs, w)
+		for j, q := range qs {
+			if !reflect.DeepEqual(got[j], one[j]) {
 				t.Errorf("%s: facts with %d workers differ from 1 worker", q.ID, w)
 			}
 		}
 	}
+}
+
+// TestFusedPassMatchesSoloPasses: a query's facts do not depend on which
+// queries share its pass.
+func TestFusedPassMatchesSoloPasses(t *testing.T) {
+	d := factsData()
+	qs := Queries()
+	fused := d.factPass(qs, 2)
+	for j, q := range qs {
+		if solo := d.factPass([]Query{q}, 2)[0]; !reflect.DeepEqual(solo, fused[j]) {
+			t.Errorf("%s: facts from its own pass differ from the fused pass's", q.ID)
+		}
+	}
+}
+
+// TestNonStandardQueryFacts: a query outside the standard 13 gets a pass of
+// its own, memoized under its ID, whose answer is the reference executor's.
+func TestNonStandardQueryFacts(t *testing.T) {
+	d := MustGenerate(0.01)
+	q, err := QueryByID("Q4.3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.ID = "Q4.3-wide"
+	q.SuppFilter = func(s *Supplier) bool { return s.Region == "AMERICA" }
+	q.LOFilter = func(lo *Lineorder) bool { return lo.Quantity < 25 }
+	want := Reference(d, q)
+	if len(want) < 2 {
+		t.Fatalf("oracle has %d groups; the query should select several", len(want))
+	}
+	for i := 0; i < 2; i++ {
+		if got := d.Facts(q).Result; !got.Equal(want) {
+			t.Errorf("non-standard facts differ from Reference\n got: %v\nwant: %v", got, want)
+		}
+	}
+	std, _ := QueryByID("Q4.3")
+	if d.Facts(std).Result.Equal(want) {
+		t.Error("the standard Q4.3 shares the non-standard query's answer")
+	}
+	if got := d.FactPasses(); got != 2 {
+		t.Errorf("fact passes = %d, want 2 (one non-standard, one standard)", got)
+	}
+}
+
+// TestFactsLiveHeap: a data set stores no fact rows, so an sf 0.2 data set
+// (1.2 million rows) with every query's facts memoized stays small.
+func TestFactsLiveHeap(t *testing.T) {
+	const limit = 20 << 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d := MustGenerate(0.2)
+	for _, q := range Queries() {
+		d.Facts(q)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	runtime.KeepAlive(d)
+	if live > limit {
+		t.Errorf("sf 0.2 data set with all facts holds %.1f MiB live, want under %d MiB",
+			float64(live)/(1<<20), limit>>20)
+	}
+	t.Logf("sf 0.2 data set with all facts: %.1f MiB live", float64(live)/(1<<20))
 }
 
 // TestFactsMatchRowByRowOracle checks the histogram and the probe
@@ -81,8 +149,9 @@ func TestFactsMatchRowByRowOracle(t *testing.T) {
 			freq[j] = map[uint32]int64{}
 		}
 		var scanned int64
-		for i := range d.Lineorder {
-			lo := &d.Lineorder[i]
+		for i := range d.Rows() {
+			row := d.Row(i)
+			lo := &row
 			if q.LOFilter != nil && !q.LOFilter(lo) {
 				continue
 			}
@@ -152,8 +221,8 @@ func TestFactsMatchRowByRowOracle(t *testing.T) {
 	}
 }
 
-// TestFactsMemoized: a data set runs one fact pass per query, however often
-// the facts are asked for.
+// TestFactsMemoized: a data set runs one fact pass for all 13 queries,
+// however often their facts are asked for.
 func TestFactsMemoized(t *testing.T) {
 	d := MustGenerate(0.005)
 	for i := 0; i < 3; i++ {
@@ -161,25 +230,7 @@ func TestFactsMemoized(t *testing.T) {
 			d.Facts(q)
 		}
 	}
-	if got, want := d.FactPasses(), int64(len(Queries())); got != want {
-		t.Errorf("fact passes = %d, want %d", got, want)
-	}
-}
-
-// TestGenerateWorkerCountInvariant: row-parallel generation yields the same
-// fact rows and order-date slots for any worker count.
-func TestGenerateWorkerCountInvariant(t *testing.T) {
-	d := MustGenerate(0.002)
-	rows, slots := genLineorders(d, len(d.Lineorder), 1)
-	for _, w := range []int{2, 7} {
-		r, s := genLineorders(d, len(d.Lineorder), w)
-		if !reflect.DeepEqual(r, rows) || !reflect.DeepEqual(s, slots) {
-			t.Errorf("generation with %d workers differs from 1 worker", w)
-		}
-	}
-	for i := range rows {
-		if int(slots[i]) != DateSlot(rows[i].OrderDate) {
-			t.Fatalf("row %d: order slot %d, DateSlot %d", i, slots[i], DateSlot(rows[i].OrderDate))
-		}
+	if got := d.FactPasses(); got != 1 {
+		t.Errorf("fact passes = %d, want 1", got)
 	}
 }

@@ -2,7 +2,6 @@ package ssb
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -100,9 +99,10 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// Generate builds a deterministic SSB database at the given scale factor.
-// sf 1 produces 6 million lineorder rows; the paper uses sf 50 (Hyrise) and
-// sf 100 (handcrafted, 600 million rows in ~70 GB).
+// Generate builds a deterministic SSB database at the given scale factor:
+// the dimension tables and the fact table's row count, whose rows Row
+// regenerates on demand. sf 1 has 6 million lineorder rows; the paper
+// uses sf 50 (Hyrise) and sf 100 (handcrafted, 600 million rows in ~70 GB).
 func Generate(sf float64) (*Data, error) {
 	if sf <= 0 {
 		return nil, fmt.Errorf("ssb: scale factor must be positive, got %g", sf)
@@ -119,7 +119,7 @@ func Generate(sf float64) (*Data, error) {
 	d.Customer = genCustomers(customerCount(sf))
 	d.Supplier = genSuppliers(supplierCount(sf))
 	d.Part = genParts(partCount(sf))
-	d.Lineorder, d.orderSlot = genLineorders(d, lineorderCount(sf), runtime.GOMAXPROCS(0))
+	d.rows = lineorderCount(sf)
 	return d, nil
 }
 
@@ -325,25 +325,22 @@ func genParts(n int) []Part {
 	return out
 }
 
-// genLineorders generates n fact rows and their order-date slots on the
-// given number of goroutines. Each row draws from its own newRNG(4, i), so
-// the rows are the same for any worker count.
-func genLineorders(d *Data, n, workers int) ([]Lineorder, []int16) {
-	out := make([]Lineorder, n)
-	slots := make([]int16, n)
-	dateSlots := make([]int16, len(d.Date))
-	for i := range d.Date {
-		dateSlots[i] = int16(DateSlot(d.Date[i].DateKey))
-	}
-	parallelRange(n, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i], slots[i] = genLineorder(d, i, dateSlots)
-		}
-	})
-	return out, slots
+// Rows returns the number of fact rows.
+func (d *Data) Rows() int { return d.rows }
+
+// Row regenerates fact row i, 0 <= i < Rows(). Each row draws from its own
+// newRNG(4, i), so it is the same on every call and in every process.
+func (d *Data) Row(i int) Lineorder {
+	lo, _ := d.row(i)
+	return lo
 }
 
-func genLineorder(d *Data, i int, dateSlots []int16) (Lineorder, int16) {
+// row regenerates fact row i and returns it with its order date's index
+// in d.Date.
+func (d *Data) row(i int) (Lineorder, int) {
+	if uint(i) >= uint(d.rows) {
+		panic(fmt.Sprintf("ssb: fact row %d out of range [0, %d)", i, d.rows))
+	}
 	nDates := len(d.Date)
 	r := newRNG(4, uint64(i))
 	quantity := uint8(r.rangeInt(1, 50))
@@ -373,7 +370,7 @@ func genLineorder(d *Data, i int, dateSlots []int16) (Lineorder, int16) {
 		Tax:           uint8(r.rangeInt(0, 8)),
 		CommitDate:    d.Date[commitIdx].DateKey,
 		ShipMode:      uint8(r.intn(len(shipModes))),
-	}, dateSlots[orderDateIdx]
+	}, orderDateIdx
 }
 
 // parallelRange splits [0, n) into at most workers contiguous ranges and

@@ -21,8 +21,9 @@ func TestGroupAppendMatchesGroupBy(t *testing.T) {
 		}
 		checked := 0
 		var buf []byte
-		for i := range d.Lineorder {
-			lo := &d.Lineorder[i]
+		for i := range d.Rows() {
+			row := d.Row(i)
+			lo := &row
 			date := d.DateByKey(lo.OrderDate)
 			var c *Customer
 			var s *Supplier
@@ -62,8 +63,9 @@ func TestGrouperMatchesDirectAggregation(t *testing.T) {
 	for _, q := range Queries() {
 		want := Reference(d, q)
 		g := NewGrouper()
-		for i := range d.Lineorder {
-			lo := &d.Lineorder[i]
+		for i := range d.Rows() {
+			row := d.Row(i)
+			lo := &row
 			if q.LOFilter != nil && !q.LOFilter(lo) {
 				continue
 			}

@@ -373,12 +373,13 @@ func QueryByID(id string) (Query, error) {
 	return Query{}, fmt.Errorf("ssb: no query %q", id)
 }
 
-// Reference executes the query naively over the decoded structs — the
-// correctness oracle both engines are tested against.
+// Reference executes the query naively over the regenerated fact rows —
+// the correctness oracle both engines are tested against.
 func Reference(d *Data, q Query) Result {
 	res := Result{}
-	for i := range d.Lineorder {
-		lo := &d.Lineorder[i]
+	lo := new(Lineorder) // the filters take pointers; one row for the loop
+	for i := 0; i < d.Rows(); i++ {
+		*lo = d.Row(i)
 		if q.LOFilter != nil && !q.LOFilter(lo) {
 			continue
 		}

@@ -71,11 +71,11 @@ func TestRoundTripLineorder(t *testing.T) {
 		shipModeCode[ShipModeName(c)] = c
 	}
 	lines := exportLines(t, d, "lineorder")
-	if len(lines) != len(d.Lineorder) {
-		t.Fatalf("%d rows, want %d", len(lines), len(d.Lineorder))
+	if len(lines) != d.Rows() {
+		t.Fatalf("%d rows, want %d", len(lines), d.Rows())
 	}
 	for i, line := range lines {
-		want := &d.Lineorder[i]
+		want := d.Row(i)
 		f := splitRow(t, line, 17)
 		got := Lineorder{
 			OrderKey:      pUint(t, f[0]),
@@ -100,8 +100,8 @@ func TestRoundTripLineorder(t *testing.T) {
 			t.Fatalf("row %d: unknown ship mode %q", i, f[16])
 		}
 		got.ShipMode = mode
-		if got != *want {
-			t.Fatalf("row %d round-trips to %+v, want %+v", i, got, *want)
+		if got != want {
+			t.Fatalf("row %d round-trips to %+v, want %+v", i, got, want)
 		}
 	}
 }

@@ -95,23 +95,22 @@ type Date struct {
 	WeekdayFl       bool
 }
 
-// Data is one generated SSB database.
+// Data is one generated SSB database. It stores the dimension tables but
+// no fact rows: fact row i is a pure function of i, which Row regenerates.
 type Data struct {
-	SF        float64
-	Lineorder []Lineorder
-	Customer  []Customer
-	Supplier  []Supplier
-	Part      []Part
-	Date      []Date
+	SF       float64
+	Customer []Customer
+	Supplier []Supplier
+	Part     []Part
+	Date     []Date
+
+	// rows is the fact table's row count.
+	rows int
 
 	// dateIdx maps a DateSlot to its row in Date, -1 for slots that name
 	// no calendar day. Dimension keys other than the date's are dense and
 	// 1-based, so every key lookup is an array index.
 	dateIdx []int32
-	// orderSlot is DateSlot(Lineorder[i].OrderDate), computed at
-	// generation, so fact passes join the date dimension without decoding
-	// yyyymmdd once per row.
-	orderSlot []int16
 
 	// memo caches query-execution artifacts that are pure functions of the
 	// generated data (the shared fact pass, engine join indexes). The
@@ -201,11 +200,7 @@ func (d *Data) PartByKey(key uint32) *Part {
 	return &d.Part[key-1]
 }
 
-// FactBytes returns the handcrafted engine's storage footprint of the fact
-// table (TupleBytes per row).
-func (d *Data) FactBytes() int64 { return int64(len(d.Lineorder)) * TupleBytes }
-
 func (d *Data) String() string {
 	return fmt.Sprintf("ssb sf=%g: lineorder=%d customer=%d supplier=%d part=%d date=%d",
-		d.SF, len(d.Lineorder), len(d.Customer), len(d.Supplier), len(d.Part), len(d.Date))
+		d.SF, d.rows, len(d.Customer), len(d.Supplier), len(d.Part), len(d.Date))
 }

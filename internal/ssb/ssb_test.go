@@ -1,6 +1,9 @@
 package ssb
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 )
 
@@ -15,7 +18,7 @@ func TestGenerateValidation(t *testing.T) {
 
 func TestCardinalities(t *testing.T) {
 	d := MustGenerate(0.01)
-	if got := len(d.Lineorder); got != 60000 {
+	if got := d.Rows(); got != 60000 {
 		t.Errorf("lineorder rows = %d, want 60000 at sf 0.01", got)
 	}
 	// 7 years 1992-1998 including leap days 1992 and 1996: 2557 days.
@@ -51,8 +54,8 @@ func TestCardinalities(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	a := MustGenerate(0.01)
 	b := MustGenerate(0.01)
-	for i := range a.Lineorder {
-		if a.Lineorder[i] != b.Lineorder[i] {
+	for i := range a.Rows() {
+		if a.Row(i) != b.Row(i) {
 			t.Fatalf("lineorder row %d differs between runs", i)
 		}
 	}
@@ -63,10 +66,42 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestRowsSHA256Pin pins the regenerated fact table absolutely: every row
+// at sf 0.01, printed with fmt's %v, hashes to the digest the stored rows
+// of the row-materializing generator gave.
+func TestRowsSHA256Pin(t *testing.T) {
+	const want = "2f3debaac67e9c1c305b598c95ea0d5a08c9def1ac9313d64b73d56dec13541c"
+	d := MustGenerate(0.01)
+	h := sha256.New()
+	for i := range d.Rows() {
+		fmt.Fprintln(h, d.Row(i))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("fact rows sha256 %s, want %s", got, want)
+	}
+}
+
+// TestRowOutOfRangePanics: Row rejects indices outside the fact table
+// instead of inventing rows past its end.
+func TestRowOutOfRangePanics(t *testing.T) {
+	d := MustGenerate(0.001)
+	for _, i := range []int{-1, d.Rows()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Row(%d) of %d rows did not panic", i, d.Rows())
+				}
+			}()
+			d.Row(i)
+		}()
+	}
+}
+
 func TestForeignKeysResolve(t *testing.T) {
 	d := MustGenerate(0.01)
-	for i := range d.Lineorder {
-		lo := &d.Lineorder[i]
+	for i := range d.Rows() {
+		row := d.Row(i)
+		lo := &row
 		if d.DateByKey(lo.OrderDate) == nil {
 			t.Fatalf("row %d: order date %d not in date table", i, lo.OrderDate)
 		}
@@ -84,8 +119,9 @@ func TestForeignKeysResolve(t *testing.T) {
 
 func TestLineorderDomains(t *testing.T) {
 	d := MustGenerate(0.01)
-	for i := range d.Lineorder {
-		lo := &d.Lineorder[i]
+	for i := range d.Rows() {
+		row := d.Row(i)
+		lo := &row
 		if lo.Quantity < 1 || lo.Quantity > 50 {
 			t.Fatalf("row %d: quantity %d out of [1,50]", i, lo.Quantity)
 		}
