@@ -255,7 +255,10 @@ func main() {
 			for n := range res.PeakUtilization {
 				names = append(names, n)
 			}
-			sort.Slice(names, func(i, j int) bool {
+			// Name order first, so resources at equal utilization (a
+			// thread per core) list the same way on every run.
+			sort.Strings(names)
+			sort.SliceStable(names, func(i, j int) bool {
 				return res.PeakUtilization[names[i]] > res.PeakUtilization[names[j]]
 			})
 			for _, n := range names {

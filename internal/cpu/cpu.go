@@ -167,7 +167,7 @@ type StreamCtx struct {
 
 // IssueRate returns the thread's maximum achievable throughput in bytes/s
 // before any device-side contention.
-func (p Params) IssueRate(ctx StreamCtx) float64 {
+func (p *Params) IssueRate(ctx StreamCtx) float64 {
 	raw := p.rawIssueRate(ctx)
 	if raw <= 0 {
 		return 0
@@ -186,7 +186,7 @@ func (p Params) IssueRate(ctx StreamCtx) float64 {
 	return raw
 }
 
-func (p Params) rawIssueRate(ctx StreamCtx) float64 {
+func (p *Params) rawIssueRate(ctx StreamCtx) float64 {
 	size := float64(ctx.AccessSize)
 	if size <= 0 {
 		size = 64
@@ -274,7 +274,7 @@ func (p Params) rawIssueRate(ctx StreamCtx) float64 {
 
 // HTMediaAmplification returns the media-traffic amplification caused by an
 // HT-polluted sequential PMEM reader (evicted-before-use prefetches).
-func (p Params) HTMediaAmplification(accessSize int64, pattern access.Pattern) float64 {
+func (p *Params) HTMediaAmplification(accessSize int64, pattern access.Pattern) float64 {
 	if !pattern.Sequential() {
 		return 1 // prefetcher idle on random access
 	}
@@ -294,7 +294,7 @@ func (p Params) HTMediaAmplification(accessSize int64, pattern access.Pattern) f
 // mechanistically: it stands in for Linux CFS migration behaviour, which the
 // paper itself treats as a black box ("the scheduler placing some of the
 // threads on the far socket").
-func (p Params) UnpinnedCap(dir access.Direction, threads int) float64 {
+func (p *Params) UnpinnedCap(dir access.Direction, threads int) float64 {
 	peak := p.UnpinnedReadPeak
 	fall := p.UnpinnedFallExpRd
 	if dir == access.Write {

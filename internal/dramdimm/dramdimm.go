@@ -67,7 +67,7 @@ func DefaultParams() Params {
 //
 // nodeBytes is the DRAM capacity of one NUMA node (48 GiB on the paper's
 // platform).
-func (p Params) ChannelFraction(regionBytes, nodeBytes int64) float64 {
+func (p *Params) ChannelFraction(regionBytes, nodeBytes int64) float64 {
 	if regionBytes <= 0 || nodeBytes <= 0 {
 		return 1
 	}
@@ -80,7 +80,7 @@ func (p Params) ChannelFraction(regionBytes, nodeBytes int64) float64 {
 
 // MediaPenalty returns the per-byte media cost multiplier for a pattern.
 // Sequential access is the baseline; random access pays RandomPenalty.
-func (p Params) MediaPenalty(pattern access.Pattern) float64 {
+func (p *Params) MediaPenalty(pattern access.Pattern) float64 {
 	if pattern == access.Random {
 		return p.RandomPenalty
 	}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -25,6 +26,55 @@ func TestCatalogSHA256Pin(t *testing.T) {
 	}
 	if got, want := hex.EncodeToString(h.Sum(nil)), strings.TrimSpace(string(golden)); got != want {
 		t.Errorf("catalogue sha256 %s, golden %s", got, want)
+	}
+}
+
+// TestMetricsTraceSHA256Pin pins the observability outputs absolutely: the
+// text of `experiments -quick -sf 0.02 -metrics -trace DIR` and every
+// DIR/<id>.trace.json file must hash to the digests in
+// testdata/metrics_trace.sha256 (sha256sum format). The catalogue pin above
+// covers only the tables; this one covers the counters and timelines.
+func TestMetricsTraceSHA256Pin(t *testing.T) {
+	golden, err := os.ReadFile("testdata/metrics_trace.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	h := sha256.New()
+	cfg := Config{SF: 0.02, Quick: true, Jobs: 1, SweepWidth: 1, EmitMetrics: true, TraceDir: dir}
+	if _, err := RunList(context.Background(), cfg, All(), h); err != nil {
+		t.Fatalf("RunList: %v", err)
+	}
+	got := map[string]string{"metrics.txt": hex.EncodeToString(h.Sum(nil))}
+	traces, err := filepath.Glob(filepath.Join(dir, "*.trace.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range traces {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		got[filepath.Base(path)] = hex.EncodeToString(sum[:])
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+		digest, name, ok := strings.Cut(line, "  ")
+		if !ok {
+			t.Fatalf("malformed golden line %q", line)
+		}
+		want[name] = digest
+	}
+	for name, digest := range want {
+		if got[name] != digest {
+			t.Errorf("%s sha256 %s, golden %s", name, got[name], digest)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("%s has no golden digest", name)
+		}
 	}
 }
 

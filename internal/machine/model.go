@@ -1,8 +1,8 @@
 package machine
 
 import (
-	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/access"
 	"repro/internal/cpu"
@@ -55,6 +55,11 @@ type runModel struct {
 	// Both are resolved by fixed-point iteration inside Prepare.
 	uW     []float64
 	uWDram []float64
+	// uWPrev holds the shares the last cost pass used: uW, then uWDram.
+	uWPrev []float64
+	// costPasses and prepSolves count computeCosts calls and Prepare's own
+	// solves over the model's lifetime.
+	costPasses, prepSolves int
 
 	// scratch per-flow bookkeeping, rebuilt each Prepare.
 	fctx []flowCtx
@@ -131,10 +136,11 @@ func newRunModel(m *Machine, streams []*Stream) *runModel {
 		threadRes: make(map[threadKey]*fluid.Resource),
 		uW:        make([]float64, m.topo.Sockets()),
 		uWDram:    make([]float64, m.topo.Sockets()),
+		uWPrev:    make([]float64, 2*m.topo.Sockets()),
 	}
 	for s := 0; s < m.topo.Sockets(); s++ {
-		rm.pmemMedia = append(rm.pmemMedia, &fluid.Resource{Name: fmt.Sprintf("pmem-media-%d", s), Capacity: 1})
-		rm.dramMedia = append(rm.dramMedia, &fluid.Resource{Name: fmt.Sprintf("dram-media-%d", s), Capacity: 1})
+		rm.pmemMedia = append(rm.pmemMedia, &fluid.Resource{Name: memoName("pmem-media-%d", s, nil), Capacity: 1})
+		rm.dramMedia = append(rm.dramMedia, &fluid.Resource{Name: memoName("dram-media-%d", s, nil), Capacity: 1})
 	}
 	rm.dramSystem = &fluid.Resource{Name: "dram-system", Capacity: m.cfg.DRAM.SystemReadBytesPerSec}
 	rm.ssdRes = &fluid.Resource{Name: "ssd", Capacity: 1}
@@ -142,7 +148,7 @@ func newRunModel(m *Machine, streams []*Stream) *runModel {
 		for b := 0; b < m.topo.Sockets(); b++ {
 			if a != b {
 				r := &fluid.Resource{
-					Name:     fmt.Sprintf("upi-%d-%d", a, b),
+					Name:     memoName("upi-%d-%d", a, b),
 					Capacity: m.cfg.UPI.RawBytesPerSecPerDir,
 				}
 				rm.upiDirs[[2]int{a, b}] = r
@@ -177,7 +183,9 @@ func (rm *runModel) reset(streams []*Stream) {
 	rm.now = 0
 	rm.streams = streams
 	for len(rm.flowPool) < len(streams) {
-		rm.flowPool = append(rm.flowPool, &fluid.Flow{})
+		// Eight entries hold the longest cost vector, a far contended cold
+		// Memory Mode read: thread, two DRAM, two media, two UPI, cold link.
+		rm.flowPool = append(rm.flowPool, &fluid.Flow{Costs: make([]fluid.Cost, 0, 8)})
 	}
 	rm.flows = rm.flowPool[:len(streams)]
 	for i, s := range streams {
@@ -196,16 +204,10 @@ func (rm *runModel) reset(streams []*Stream) {
 	// Per-run state the mechanisms read before first writing: thread-resource
 	// bindings (streams map to different cores run to run), the write-share
 	// fixed-point estimates, and the peak-utilization diagnostics.
-	for i := range rm.threadOf {
-		rm.threadOf[i] = nil
-	}
-	for s := range rm.uW {
-		rm.uW[s] = 0
-		rm.uWDram[s] = 0
-	}
-	for i := range rm.peaks {
-		rm.peaks[i] = 0
-	}
+	clear(rm.threadOf)
+	clear(rm.uW)
+	clear(rm.uWDram)
+	clear(rm.peaks)
 	rm.dirty = false
 	// Stale dynamic resources from earlier runs stay registered: Solve zeroes
 	// their loads, nothing costs against them, and zero peaks are excluded
@@ -332,14 +334,23 @@ func (rm *runModel) Prepare(now float64, flows []*fluid.Flow) {
 	rm.now = now
 	pop := rm.gather()
 	// Fixed point on the mixed-workload write-utilization estimates: costs
-	// depend on uW, which depends on the solved rates. Three iterations
-	// converge to well under 1% for every workload in the test suite.
+	// depend on uW, which depends on the solved rates. Three rounds converge
+	// to well under 1% for every workload in the test suite. Shares that come
+	// back bit-identical end it exactly, as every later round would repeat
+	// the same costs and rates. Without a media writer the shares are zero
+	// whatever the rates, so Prepare solves nothing; the engine's Solve sets
+	// the rates the step runs at.
+	writer := rm.computeCosts(pop)
 	for iter := 0; iter < 3; iter++ {
+		if writer {
+			rm.solver.Solve(rm.flows, rm.Resources())
+			rm.prepSolves++
+		}
+		if !rm.updateWriteShares() {
+			break
+		}
 		rm.computeCosts(pop)
-		rm.solver.Solve(rm.flows, rm.Resources())
-		rm.updateWriteShares()
 	}
-	rm.computeCosts(pop)
 	rm.dirty = false
 }
 
@@ -351,13 +362,16 @@ func (rm *runModel) Steady(now float64) bool {
 	return !rm.dirty && rm.m.inj == nil
 }
 
-func (rm *runModel) updateWriteShares() {
+// updateWriteShares recomputes uW and uWDram from the solved rates and
+// reports whether either moved, bit for bit.
+func (rm *runModel) updateWriteShares() bool {
+	n := len(rm.uW)
 	for s := range rm.uW {
-		rm.uW[s] = 0
-		rm.uWDram[s] = 0
+		rm.uWPrev[s], rm.uWPrev[n+s] = rm.uW[s], rm.uWDram[s]
+		rm.uW[s], rm.uWDram[s] = 0, 0
 	}
 	for i, f := range rm.flows {
-		ctx := rm.fctx[i]
+		ctx := &rm.fctx[i]
 		if !ctx.active || ctx.writeUtilPerByte == 0 {
 			continue
 		}
@@ -368,14 +382,21 @@ func (rm *runModel) updateWriteShares() {
 			rm.uWDram[st.Region.Socket] += f.Rate * ctx.writeUtilPerByte
 		}
 	}
+	moved := false
 	for s := range rm.uW {
 		rm.uW[s] = math.Min(rm.uW[s], 1)
 		rm.uWDram[s] = math.Min(rm.uWDram[s], 1)
+		moved = moved || math.Float64bits(rm.uW[s]) != math.Float64bits(rm.uWPrev[s]) ||
+			math.Float64bits(rm.uWDram[s]) != math.Float64bits(rm.uWPrev[n+s])
 	}
+	return moved
 }
 
-func (rm *runModel) computeCosts(pop population) {
-	cfg := rm.m.cfg
+// computeCosts rebuilds every active flow's demand, weight and cost vector
+// from the mechanism models, and reports whether any flow writes media.
+func (rm *runModel) computeCosts(pop population) (writer bool) {
+	rm.costPasses++
+	cfg := &rm.m.cfg
 	topo := rm.m.topo
 	d := float64(topo.ChannelsPerSocket())
 
@@ -398,7 +419,7 @@ func (rm *runModel) computeCosts(pop population) {
 	// Refresh dynamic resources.
 	for key, n := range pop.coldCount {
 		if _, ok := rm.coldRes[key]; !ok {
-			r := &fluid.Resource{Name: fmt.Sprintf("cold-r%d-s%d", key.Region, key.Socket)}
+			r := &fluid.Resource{Name: memoName("cold-r%d-s%d", key.Region, key.Socket)}
 			rm.coldRes[key] = r
 			rm.dynList = append(rm.dynList, r)
 			rm.resValid = false
@@ -407,7 +428,7 @@ func (rm *runModel) computeCosts(pop population) {
 	}
 	for dir, n := range pop.unpinnedCount {
 		if _, ok := rm.unpinned[dir]; !ok {
-			r := &fluid.Resource{Name: "unpinned-" + dir.String()}
+			r := &fluid.Resource{Name: memoName("unpinned-%s", dir, nil)}
 			rm.unpinned[dir] = r
 			rm.dynList = append(rm.dynList, r)
 			rm.resValid = false
@@ -491,7 +512,7 @@ func (rm *runModel) computeCosts(pop population) {
 				var ok bool
 				tr, ok = rm.threadRes[tk]
 				if !ok {
-					tr = &fluid.Resource{Name: fmt.Sprintf("thread-%s-c%d", s.Policy, s.Placement.Core), Capacity: 1}
+					tr = &fluid.Resource{Name: memoName("thread-%s-c%d", s.Policy, s.Placement.Core), Capacity: 1}
 					rm.threadRes[tk] = tr
 					rm.dynList = append(rm.dynList, tr)
 					rm.resValid = false
@@ -500,7 +521,8 @@ func (rm *runModel) computeCosts(pop population) {
 			}
 			costs = append(costs, fluid.Cost{Resource: tr, PerByte: 1 / demand})
 		}
-		fc := flowCtx{active: true, far: far, touchesRegion: s.Region, mmHit: mmHit}
+		fc := &rm.fctx[i]
+		*fc = flowCtx{active: true, far: far, touchesRegion: s.Region, mmHit: mmHit}
 
 		switch s.Region.Class {
 		case access.PMEM:
@@ -571,11 +593,12 @@ func (rm *runModel) computeCosts(pop population) {
 				}
 			} else {
 				streams := pop.pmemWriteStreams[s.Region.Socket]
-				pmem := cfg.PMEM
+				pmem := &cfg.PMEM
 				if inj := rm.m.inj; inj != nil {
 					// A degraded XPBuffer has fewer write-combining lines, so
 					// the same stream population runs at higher pressure.
-					pmem = pmem.DerateBuffer(inj.BufferScale(int(s.Region.Socket), rm.clock0+rm.now))
+					derated := pmem.DerateBuffer(inj.BufferScale(int(s.Region.Socket), rm.clock0+rm.now))
+					pmem = &derated
 				}
 				wa := pmem.WriteAmplification(s.AccessSize, s.Pattern, streams)
 				if oversubWrites {
@@ -661,8 +684,9 @@ func (rm *runModel) computeCosts(pop population) {
 		}
 
 		f.Costs = costs
-		rm.fctx[i] = fc
+		writer = writer || fc.writeUtilPerByte != 0
 	}
+	return writer
 }
 
 // coreBudget returns how many logical cores the policy's thread group can
@@ -706,13 +730,7 @@ func (rm *runModel) Horizon(now float64, flows []*fluid.Flow) float64 {
 	for i, f := range rm.flows {
 		if rm.fctx[i].active && rm.fctx[i].cold {
 			key := rm.fctx[i].coldKey
-			at := -1
-			for j, k := range rm.hzColdKeys {
-				if k == key {
-					at = j
-					break
-				}
-			}
+			at := slices.Index(rm.hzColdKeys, key)
 			if at < 0 {
 				rm.hzColdKeys = append(rm.hzColdKeys, key)
 				rm.hzColdRates = append(rm.hzColdRates, 0)
@@ -739,15 +757,9 @@ func (rm *runModel) Horizon(now float64, flows []*fluid.Flow) float64 {
 	rm.hzRegions = rm.hzRegions[:0]
 	rm.hzRegionRates = rm.hzRegionRates[:0]
 	for i, f := range rm.flows {
-		fc := rm.fctx[i]
+		fc := &rm.fctx[i]
 		if fc.active && fc.touchesRegion != nil && !fc.touchesRegion.Faulted() {
-			at := -1
-			for j, r := range rm.hzRegions {
-				if r == fc.touchesRegion {
-					at = j
-					break
-				}
-			}
+			at := slices.Index(rm.hzRegions, fc.touchesRegion)
 			if at < 0 {
 				rm.hzRegions = append(rm.hzRegions, fc.touchesRegion)
 				rm.hzRegionRates = append(rm.hzRegionRates, 0)
@@ -789,7 +801,7 @@ func (rm *runModel) Advance(now, dt float64, flows []*fluid.Flow) {
 	}
 	rm.traceStepStart(now)
 	for i, f := range rm.flows {
-		fc := rm.fctx[i]
+		fc := &rm.fctx[i]
 		if !fc.active || f.Rate <= 0 {
 			continue
 		}
@@ -831,7 +843,7 @@ func (rm *runModel) Advance(now, dt float64, flows []*fluid.Flow) {
 // recordTraffic accounts one flow's dt-step traffic in the metrics registry:
 // app vs media bytes per device and socket, per-channel distribution,
 // XPBuffer line flushes, prefetch waste, and UPI link bytes.
-func (rm *runModel) recordTraffic(s *Stream, fc flowCtx, moved float64) {
+func (rm *runModel) recordTraffic(s *Stream, fc *flowCtx, moved float64) {
 	rec := rm.m.rec
 	gran := float64(rm.m.cfg.PMEM.Granularity)
 	switch s.Region.Class {

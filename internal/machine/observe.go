@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/access"
 	"repro/internal/cpu"
@@ -67,8 +68,8 @@ type recorder struct {
 	pfUseful   *metrics.Counter
 	pfWasted   *metrics.Counter
 	pfEffMean  *metrics.Gauge
-	pinStreams map[cpu.PinPolicy]*metrics.Counter
-	pinBytes   map[cpu.PinPolicy]*metrics.Counter
+	pinStreams [cpu.PinNone + 1]*metrics.Counter // indexed by policy
+	pinBytes   [cpu.PinNone + 1]*metrics.Counter
 	htShared   *metrics.Counter
 
 	// Fault-injection observability (scraped as sim_fault_* by pmemd).
@@ -127,42 +128,40 @@ func newRecorder(reg *metrics.Registry, topo *topology.Topology) *recorder {
 	// A healthy machine never ticks the fault path; 1 (no derate) is the
 	// meaningful resting value for the min-scale gauge, not 0.
 	r.faultScaleMin.Set(1)
-	r.pinStreams = map[cpu.PinPolicy]*metrics.Counter{}
-	r.pinBytes = map[cpu.PinPolicy]*metrics.Counter{}
-	for _, pol := range []cpu.PinPolicy{cpu.PinCores, cpu.PinNUMA, cpu.PinNone} {
-		r.pinStreams[pol] = reg.Counter(fmt.Sprintf("cpu.pin.%s.streams", pol))
-		r.pinBytes[pol] = reg.Counter(fmt.Sprintf("cpu.pin.%s.bytes", pol))
+	for pol := cpu.PinCores; pol <= cpu.PinNone; pol++ {
+		r.pinStreams[pol] = reg.Counter(memoName("cpu.pin.%s.streams", pol, nil))
+		r.pinBytes[pol] = reg.Counter(memoName("cpu.pin.%s.bytes", pol, nil))
 	}
 	for s := 0; s < r.sockets; s++ {
-		r.pmemReadApp = append(r.pmemReadApp, reg.Counter(fmt.Sprintf("pmem.s%d.read.app_bytes", s)))
-		r.pmemReadMedia = append(r.pmemReadMedia, reg.Counter(fmt.Sprintf("pmem.s%d.read.media_bytes", s)))
-		r.pmemWriteApp = append(r.pmemWriteApp, reg.Counter(fmt.Sprintf("pmem.s%d.write.app_bytes", s)))
-		r.pmemWriteMedia = append(r.pmemWriteMedia, reg.Counter(fmt.Sprintf("pmem.s%d.write.media_bytes", s)))
-		r.pmemUtilPeak = append(r.pmemUtilPeak, reg.Gauge(fmt.Sprintf("pmem.s%d.util.peak", s)))
-		r.dramRead = append(r.dramRead, reg.Counter(fmt.Sprintf("dram.s%d.read.bytes", s)))
-		r.dramWrite = append(r.dramWrite, reg.Counter(fmt.Sprintf("dram.s%d.write.bytes", s)))
-		r.dramUtilPeak = append(r.dramUtilPeak, reg.Gauge(fmt.Sprintf("dram.s%d.util.peak", s)))
-		r.dirWrites = append(r.dirWrites, reg.Counter(fmt.Sprintf("pmem.s%d.directory.write_media_bytes", s)))
+		r.pmemReadApp = append(r.pmemReadApp, reg.Counter(memoName("pmem.s%d.read.app_bytes", s, nil)))
+		r.pmemReadMedia = append(r.pmemReadMedia, reg.Counter(memoName("pmem.s%d.read.media_bytes", s, nil)))
+		r.pmemWriteApp = append(r.pmemWriteApp, reg.Counter(memoName("pmem.s%d.write.app_bytes", s, nil)))
+		r.pmemWriteMedia = append(r.pmemWriteMedia, reg.Counter(memoName("pmem.s%d.write.media_bytes", s, nil)))
+		r.pmemUtilPeak = append(r.pmemUtilPeak, reg.Gauge(memoName("pmem.s%d.util.peak", s, nil)))
+		r.dramRead = append(r.dramRead, reg.Counter(memoName("dram.s%d.read.bytes", s, nil)))
+		r.dramWrite = append(r.dramWrite, reg.Counter(memoName("dram.s%d.write.bytes", s, nil)))
+		r.dramUtilPeak = append(r.dramUtilPeak, reg.Gauge(memoName("dram.s%d.util.peak", s, nil)))
+		r.dirWrites = append(r.dirWrites, reg.Counter(memoName("pmem.s%d.directory.write_media_bytes", s, nil)))
 
 		var crm, cwm []*metrics.Counter
 		var cum []*metrics.Gauge
 		for c := 0; c < r.channels; c++ {
-			crm = append(crm, reg.Counter(fmt.Sprintf("pmem.s%d.ch%d.read_media_bytes", s, c)))
-			cwm = append(cwm, reg.Counter(fmt.Sprintf("pmem.s%d.ch%d.write_media_bytes", s, c)))
-			cum = append(cum, reg.Gauge(fmt.Sprintf("pmem.s%d.ch%d.util.mean", s, c)))
+			crm = append(crm, reg.Counter(memoName("pmem.s%d.ch%d.read_media_bytes", s, c)))
+			cwm = append(cwm, reg.Counter(memoName("pmem.s%d.ch%d.write_media_bytes", s, c)))
+			cum = append(cum, reg.Gauge(memoName("pmem.s%d.ch%d.util.mean", s, c)))
 		}
 		r.chReadMedia = append(r.chReadMedia, crm)
 		r.chWriteMedia = append(r.chWriteMedia, cwm)
 		r.chUtilMean = append(r.chUtilMean, cum)
 
-		r.xpbLineWrites = append(r.xpbLineWrites, reg.Counter(fmt.Sprintf("xpdimm.s%d.xpbuffer.line_writes", s)))
-		r.xpbLineFlushes = append(r.xpbLineFlushes, reg.Counter(fmt.Sprintf("xpdimm.s%d.xpbuffer.line_flushes", s)))
-		r.xpbHitRate = append(r.xpbHitRate, reg.Gauge(fmt.Sprintf("xpdimm.s%d.xpbuffer.hit_rate", s)))
-		r.rbufApp = append(r.rbufApp, reg.Counter(fmt.Sprintf("xpdimm.s%d.readbuf.app_bytes", s)))
-		r.rbufMedia = append(r.rbufMedia, reg.Counter(fmt.Sprintf("xpdimm.s%d.readbuf.media_bytes", s)))
-		r.rbufHitRate = append(r.rbufHitRate, reg.Gauge(fmt.Sprintf("xpdimm.s%d.readbuf.hit_rate", s)))
-		r.writeAmpMean = append(r.writeAmpMean, reg.Gauge(fmt.Sprintf("xpdimm.s%d.write_amplification.mean", s)))
-		r.wearBytes = append(r.wearBytes, reg.Gauge(fmt.Sprintf("xpdimm.s%d.wear.media_bytes", s)))
+		r.xpbLineWrites = append(r.xpbLineWrites, reg.Counter(memoName("xpdimm.s%d.xpbuffer.line_writes", s, nil)))
+		r.xpbLineFlushes = append(r.xpbLineFlushes, reg.Counter(memoName("xpdimm.s%d.xpbuffer.line_flushes", s, nil)))
+		r.xpbHitRate = append(r.xpbHitRate, reg.Gauge(memoName("xpdimm.s%d.xpbuffer.hit_rate", s, nil)))
+		r.rbufApp = append(r.rbufApp, reg.Counter(memoName("xpdimm.s%d.readbuf.app_bytes", s, nil)))
+		r.rbufMedia = append(r.rbufMedia, reg.Counter(memoName("xpdimm.s%d.readbuf.media_bytes", s, nil)))
+		r.rbufHitRate = append(r.rbufHitRate, reg.Gauge(memoName("xpdimm.s%d.readbuf.hit_rate", s, nil)))
+		r.writeAmpMean = append(r.writeAmpMean, reg.Gauge(memoName("xpdimm.s%d.write_amplification.mean", s, nil)))
+		r.wearBytes = append(r.wearBytes, reg.Gauge(memoName("xpdimm.s%d.wear.media_bytes", s, nil)))
 	}
 	for a := 0; a < r.sockets; a++ {
 		var data, req []*metrics.Counter
@@ -174,15 +173,45 @@ func newRecorder(reg *metrics.Registry, topo *topology.Topology) *recorder {
 				util = append(util, nil)
 				continue
 			}
-			data = append(data, reg.Counter(fmt.Sprintf("upi.s%dto%d.data_bytes", a, b)))
-			req = append(req, reg.Counter(fmt.Sprintf("upi.s%dto%d.req_bytes", a, b)))
-			util = append(util, reg.Gauge(fmt.Sprintf("upi.s%dto%d.util.peak", a, b)))
+			data = append(data, reg.Counter(memoName("upi.s%dto%d.data_bytes", a, b)))
+			req = append(req, reg.Counter(memoName("upi.s%dto%d.req_bytes", a, b)))
+			util = append(util, reg.Gauge(memoName("upi.s%dto%d.util.peak", a, b)))
 		}
 		r.upiData = append(r.upiData, data)
 		r.upiReq = append(r.upiReq, req)
 		r.upiUtilPeak = append(r.upiUtilPeak, util)
 	}
 	return r
+}
+
+// names memoizes the metric and resource names machines register, keyed by
+// format and operands: machines of one shape register the same names, so a
+// process formats each once.
+var names = struct {
+	sync.Mutex
+	m map[nameKey]string
+}{m: map[nameKey]string{}}
+
+type nameKey struct {
+	format string
+	a, b   any
+}
+
+// memoName returns fmt.Sprintf(format, a), or (format, a, b) when b is not
+// nil, formatting it only on the process's first request.
+func memoName(format string, a, b any) string {
+	names.Lock()
+	defer names.Unlock()
+	k := nameKey{format, a, b}
+	if s, ok := names.m[k]; ok {
+		return s
+	}
+	args := []any{a, b}
+	if b == nil {
+		args = args[:1]
+	}
+	names.m[k] = fmt.Sprintf(format, args...)
+	return names.m[k]
 }
 
 // recordAlloc accounts a new region.

@@ -281,7 +281,7 @@ func (m *Machine) traceWarmEvent(name string, k upi.Key) {
 
 // traceAccumulate folds one flow's dt-step traffic into the run accumulator;
 // mirrors recordTraffic's attribution so the timeline and the metrics agree.
-func (rm *runModel) traceAccumulate(s *Stream, fc flowCtx, moved float64) {
+func (rm *runModel) traceAccumulate(s *Stream, fc *flowCtx, moved float64) {
 	t := rm.tr
 	if t == nil {
 		return

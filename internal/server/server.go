@@ -722,6 +722,14 @@ func (s *Server) run(j *job) {
 	if err == nil {
 		body, err = json.Marshal(res)
 	}
+	if err == nil {
+		// Count the run's simulation counters before the job can be seen
+		// finished (cache hit, job status or a closed done channel), so a
+		// client that scrapes /metrics after its response sees its own run.
+		s.simMu.Lock()
+		s.simAgg = metrics.Merge(s.simAgg, sim)
+		s.simMu.Unlock()
+	}
 
 	s.mu.Lock()
 	delete(s.inflight, j.key)
@@ -764,11 +772,6 @@ func (s *Server) run(j *job) {
 	}
 
 	close(j.done)
-	if err == nil {
-		s.simMu.Lock()
-		s.simAgg = metrics.Merge(s.simAgg, sim)
-		s.simMu.Unlock()
-	}
 }
 
 // guardedRun drives runFn to completion for one job: transient errors are

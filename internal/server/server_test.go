@@ -213,10 +213,13 @@ func TestCoalescing(t *testing.T) {
 			bodies[i], errs[i] = string(b), err
 		}(i)
 	}
-	// All n handlers must be inside the server before the simulation is
-	// released, so none of them can be served from the cache.
-	waitFor(t, "all requests to arrive", func() bool {
-		return counter(t, s, "server_requests") == n
+	// Every follower must be parked on the in-flight job before the
+	// simulation is released, so none of them can be served from the cache.
+	// A handler counts its request before it looks the job up, so waiting
+	// on server_requests alone leaves that window open; if coalescing
+	// breaks, this wait times out and fails the test.
+	waitFor(t, "all followers to coalesce", func() bool {
+		return counter(t, s, "server_coalesced") == n-1
 	})
 	close(release)
 	wg.Wait()

@@ -29,7 +29,7 @@ func DefaultParams() Params {
 }
 
 // Rate returns the device throughput for a direction/pattern combination.
-func (p Params) Rate(dir access.Direction, pattern access.Pattern) float64 {
+func (p *Params) Rate(dir access.Direction, pattern access.Pattern) float64 {
 	if pattern == access.Random {
 		if dir == access.Read {
 			return p.RandReadBytesPerSec
@@ -44,7 +44,7 @@ func (p Params) Rate(dir access.Direction, pattern access.Pattern) float64 {
 
 // Amplification returns device bytes transferred per application byte: I/O
 // smaller than a block still moves a whole block.
-func (p Params) Amplification(accessSize int64) float64 {
+func (p *Params) Amplification(accessSize int64) float64 {
 	if accessSize <= 0 || accessSize >= p.BlockBytes {
 		blocks := (accessSize + p.BlockBytes - 1) / p.BlockBytes
 		if accessSize <= 0 {

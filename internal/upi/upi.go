@@ -48,7 +48,7 @@ func DefaultParams() Params {
 
 // ColdCap returns the aggregate bandwidth available to cold (first-touch)
 // far reads when `threads` threads contend for the directory remapping.
-func (p Params) ColdCap(threads int) float64 {
+func (p *Params) ColdCap(threads int) float64 {
 	t := float64(threads)
 	if t < p.ColdRefThreads {
 		t = p.ColdRefThreads
@@ -58,7 +58,7 @@ func (p Params) ColdCap(threads int) float64 {
 
 // WarmFarReadCap returns the per-flow-group ceiling for warm far reads: the
 // data direction of the link divided by the data cost factor.
-func (p Params) WarmFarReadCap() float64 {
+func (p *Params) WarmFarReadCap() float64 {
 	return p.RawBytesPerSecPerDir / p.DataCostFactor
 }
 

@@ -116,26 +116,23 @@ func DefaultParams() Params {
 // injection uses this to model buffer degradation: fewer lines raise
 // write-combining pressure, and with it write amplification, under the same
 // stream population.
-func (p Params) DerateBuffer(scale float64) Params {
+func (p *Params) DerateBuffer(scale float64) Params {
+	d := *p
 	if scale >= 1 {
-		return p
+		return d
 	}
-	lines := int(math.Round(float64(p.BufferLines) * scale))
-	if lines < 1 {
-		lines = 1
-	}
-	p.BufferLines = lines
-	return p
+	d.BufferLines = max(1, int(math.Round(float64(p.BufferLines)*scale)))
+	return d
 }
 
 // SocketReadBytesPerSec returns the aggregate sequential read capacity of a
 // socket with the given DIMM count.
-func (p Params) SocketReadBytesPerSec(dimms int) float64 {
+func (p *Params) SocketReadBytesPerSec(dimms int) float64 {
 	return p.MediaReadBytesPerSec * float64(dimms)
 }
 
 // SocketWriteBytesPerSec returns the aggregate write capacity of a socket.
-func (p Params) SocketWriteBytesPerSec(dimms int) float64 {
+func (p *Params) SocketWriteBytesPerSec(dimms int) float64 {
 	return p.MediaWriteBytesPerSec * float64(dimms)
 }
 
@@ -147,7 +144,7 @@ func (p Params) SocketWriteBytesPerSec(dimms int) float64 {
 // the loaded 256 Byte cache line without causing read amplification",
 // Section 3.1). Random reads below the granularity fetch a full XPLine per
 // request.
-func (p Params) ReadAmplification(accessSize int64, pattern access.Pattern) float64 {
+func (p *Params) ReadAmplification(accessSize int64, pattern access.Pattern) float64 {
 	if pattern.Sequential() {
 		return 1
 	}
@@ -175,7 +172,7 @@ func (p Params) ReadAmplification(accessSize int64, pattern access.Pattern) floa
 //     bytes of partially combined lines; when the per-socket buffer pool
 //     overflows, lines are flushed before they fill, re-writing media
 //     (Section 4.2). This produces the boomerang shape of Figure 8.
-func (p Params) WriteAmplification(accessSize int64, pattern access.Pattern, streams int) float64 {
+func (p *Params) WriteAmplification(accessSize int64, pattern access.Pattern, streams int) float64 {
 	if accessSize <= 0 || streams <= 0 {
 		return 1
 	}
@@ -194,7 +191,7 @@ func (p Params) WriteAmplification(accessSize int64, pattern access.Pattern, str
 	return wa * p.pressureWA(accessSize, streams)
 }
 
-func (p Params) subLineWA(accessSize int64, pattern access.Pattern) float64 {
+func (p *Params) subLineWA(accessSize int64, pattern access.Pattern) float64 {
 	if accessSize >= p.Granularity {
 		if pattern == access.Random {
 			lines := (accessSize + p.Granularity - 1) / p.Granularity
@@ -212,7 +209,7 @@ func (p Params) subLineWA(accessSize int64, pattern access.Pattern) float64 {
 	}
 }
 
-func (p Params) pressureWA(accessSize int64, streams int) float64 {
+func (p *Params) pressureWA(accessSize int64, streams int) float64 {
 	window := accessSize
 	if window > p.WriteWindowBytes {
 		window = p.WriteWindowBytes
