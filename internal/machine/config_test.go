@@ -2,6 +2,8 @@ package machine
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -56,6 +58,45 @@ func TestConfigFromJSONRejectsBad(t *testing.T) {
 		if _, err := ConfigFromJSON(strings.NewReader(in)); err == nil {
 			t.Errorf("ConfigFromJSON(%q) succeeded", in)
 		}
+	}
+}
+
+// TestConfigFromJSONRejectsBadRates: every device rate and the PMEM access
+// granularity must be positive; the error names the field.
+func TestConfigFromJSONRejectsBadRates(t *testing.T) {
+	fields := map[string][]string{
+		"PMEM": {"MediaReadBytesPerSec", "MediaWriteBytesPerSec", "Granularity"},
+		"DRAM": {"SocketReadBytesPerSec", "SocketWriteBytesPerSec", "SystemReadBytesPerSec"},
+		"UPI":  {"RawBytesPerSecPerDir", "ColdReadCapBytesPerSec"},
+		"SSD":  {"SeqReadBytesPerSec", "SeqWriteBytesPerSec", "RandReadBytesPerSec", "RandWriteBytesPerSec"},
+	}
+	n := 0
+	for dev, leaves := range fields {
+		for _, leaf := range leaves {
+			n++
+			for _, v := range []string{"0", "-1"} {
+				in := fmt.Sprintf(`{%q: {%q: %s}}`, dev, leaf, v)
+				_, err := ConfigFromJSON(strings.NewReader(in))
+				if err == nil || !strings.Contains(err.Error(), dev+"."+leaf) {
+					t.Errorf("ConfigFromJSON(%s): error %v, want one naming %s.%s", in, err, dev, leaf)
+				}
+			}
+			in := fmt.Sprintf(`{%q: {%q: 1e-3}}`, dev, leaf)
+			if leaf == "Granularity" {
+				in = fmt.Sprintf(`{%q: {%q: 64}}`, dev, leaf)
+			}
+			if _, err := ConfigFromJSON(strings.NewReader(in)); err != nil {
+				t.Errorf("ConfigFromJSON(%s): %v", in, err)
+			}
+		}
+	}
+	if n != 12 {
+		t.Errorf("%d fields checked, want 12", n)
+	}
+	cfg := DefaultConfig()
+	cfg.SSD.RandReadBytesPerSec = math.Inf(1)
+	if err := cfg.checkRates(); err == nil || !strings.Contains(err.Error(), "SSD.RandReadBytesPerSec") {
+		t.Errorf("infinite rate: error %v, want one naming SSD.RandReadBytesPerSec", err)
 	}
 }
 

@@ -12,6 +12,8 @@ package partition
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 )
 
 // Scheme selects a partitioning strategy.
@@ -138,31 +140,54 @@ func (a Assignment) EffectiveBandwidthFraction() float64 {
 
 // ZipfKeys generates n keys from an approximate Zipf(s) distribution over
 // [0, domain), deterministically. s = 0 is uniform; s around 1 is the
-// classic heavy skew. Used to evaluate partitioning under skew.
+// classic heavy skew. Used to evaluate partitioning under skew. Key i
+// depends only on i, so the keys are filled on GOMAXPROCS goroutines and
+// are the same for any number of them.
 func ZipfKeys(n int, domain uint64, s float64, seed uint64) []uint64 {
+	return zipfKeys(n, domain, s, seed, runtime.GOMAXPROCS(0))
+}
+
+// zipfKeys is ZipfKeys on at most workers goroutines, each filling one
+// contiguous range of the keys.
+func zipfKeys(n int, domain uint64, s float64, seed uint64, workers int) []uint64 {
 	if domain == 0 {
 		domain = 1
 	}
 	keys := make([]uint64, n)
+	workers = max(1, min(workers, n))
+	chunk := (n + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := 0; lo < n; lo += chunk {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			zipfFill(keys[lo:min(lo+chunk, n)], lo, domain, s, seed)
+		}()
+	}
+	wg.Wait()
+	return keys
+}
+
+// zipfFill sets keys[x] to key lo+x.
+func zipfFill(keys []uint64, lo int, domain uint64, s float64, seed uint64) {
 	if s <= 0 {
-		for i := range keys {
-			keys[i] = mix(seed+uint64(i)) % domain
+		for x := range keys {
+			keys[x] = mix(seed+uint64(lo+x)) % domain
 		}
-		return keys
+		return
 	}
 	// Inverse-CDF sampling of a bounded Pareto approximating Zipf ranks:
 	// rank = domain * u^(1/s') with s' shaping the tail.
 	shape := 1 / s
-	for i := range keys {
-		u := float64(mix(seed+uint64(i))%1_000_000_007) / 1_000_000_007
+	for x := range keys {
+		u := float64(mix(seed+uint64(lo+x))%1_000_000_007) / 1_000_000_007
 		if u <= 0 {
 			u = 0.5 / 1_000_000_007
 		}
 		r := math.Pow(u, 1+shape) // small u -> small rank; skews mass to low keys
-		keys[i] = uint64(r * float64(domain))
-		if keys[i] >= domain {
-			keys[i] = domain - 1
+		keys[x] = uint64(r * float64(domain))
+		if keys[x] >= domain {
+			keys[x] = domain - 1
 		}
 	}
-	return keys
 }

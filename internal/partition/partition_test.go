@@ -146,3 +146,27 @@ func TestZipfKeysProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestZipfKeysWidthInvariant: the keys do not depend on how many
+// goroutines fill them, including widths that split the keys unevenly.
+func TestZipfKeysWidthInvariant(t *testing.T) {
+	const n = 7*1000 + 5
+	for _, s := range []float64{0, 1.1} {
+		one := zipfKeys(n, 1<<24, s, 11, 1)
+		for _, w := range []int{2, 7} {
+			got := zipfKeys(n, 1<<24, s, 11, w)
+			for i := range one {
+				if got[i] != one[i] {
+					t.Fatalf("s=%g: key %d is %d at width %d, %d at width 1", s, i, got[i], w, one[i])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkZipfKeys generates ext05's skewed keys.
+func BenchmarkZipfKeys(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		ZipfKeys(200_000, 1<<24, 1.1, 11)
+	}
+}

@@ -207,3 +207,29 @@ func TestReadyzRetryAfterWhileDraining(t *testing.T) {
 		t.Error("draining /readyz has no Retry-After header")
 	}
 }
+
+// TestBadMachineRateRejected: a what-if device rate or granularity that is
+// not positive is a 400 naming the field, not a cached wrong answer (-1)
+// or a mid-run engine stall (0).
+func TestBadMachineRateRejected(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	for _, c := range []struct{ machine, field string }{
+		{`{"PMEM":{"MediaReadBytesPerSec":-1}}`, "PMEM.MediaReadBytesPerSec"},
+		{`{"PMEM":{"MediaReadBytesPerSec":0}}`, "PMEM.MediaReadBytesPerSec"},
+		{`{"PMEM":{"Granularity":0}}`, "PMEM.Granularity"},
+		{`{"SSD":{"SeqWriteBytesPerSec":-2.5e9}}`, "SSD.SeqWriteBytesPerSec"},
+	} {
+		resp, body := postRun(t, ts, `{"id":"fig03","quick":true,"machine":`+c.machine+`}`)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("machine %s: status %d, want 400; body %s", c.machine, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), c.field) {
+			t.Errorf("machine %s: error %s does not name %s", c.machine, body, c.field)
+		}
+	}
+	for _, name := range []string{"server_jobs_done", "server_jobs_failed"} {
+		if v := counter(t, s, name); v != 0 {
+			t.Errorf("%s = %v after rejected requests, want 0", name, v)
+		}
+	}
+}

@@ -23,7 +23,8 @@ func BenchmarkReferenceQ21(b *testing.B) {
 }
 
 // BenchmarkFactPass runs the shared fact pass for all 13 queries on one
-// worker, the per-data-set query work of the SSB experiments.
+// worker, the per-data-set query work of the SSB experiments, and reports
+// its cost per fact row.
 func BenchmarkFactPass(b *testing.B) {
 	d := MustGenerate(0.05)
 	qs := Queries()
@@ -31,4 +32,5 @@ func BenchmarkFactPass(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d.factPass(qs, 1)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*d.Rows()), "ns/row")
 }

@@ -99,27 +99,155 @@ func (d *Data) FactPasses() int64 { return d.factPasses.Load() }
 // mask holds one bit per query.
 const maxFused = 16
 
+// maxCells bounds a fact pass's cell table (see cellTable). The table's
+// size is the product of the four dimensions' class counts times two to the
+// number of queries with an LOFilter, so it follows from the queries'
+// filters, not from the scale factor: the 13 standard queries need at most
+// 7 date, 5 customer, 6 supplier and 6 part classes and 3 pass bits, 10,080
+// cells.
+const maxCells = 1 << 16
+
 // passMasks[k][key] has bit j set when key passes query j's filter on the
 // dimension of kind k, or when query j does not join that dimension. Date
 // keys are row indices in Data.Date; the others are the dense 1-based keys.
 type passMasks [4][]uint16
 
-// queryPlan maps a row's pass index for one query, whose bit k is set when
-// the row passes the dimension of kind k, to what the row contributes.
-type queryPlan struct {
-	// at is the pass index's position in Facts.hist, whose bits follow
-	// Dims order.
-	at [16]uint8
-	// probes has bit k set when the row probes the dimension of kind k:
-	// it passed the date and every dimension before k in Dims order.
-	probes [16]uint8
+// keyClass is one dimension key's pass mask and its class's offset in the
+// pass's cell table. The keys of a dimension take few distinct masks, and
+// keys with equal masks form one class.
+type keyClass struct {
+	mask uint16
+	cell uint32
+}
+
+// cellTable numbers the cells a fact pass counts rows in. A row's cell is
+// the sum of its four keys' class offsets plus its pass bits for the
+// queries with an LOFilter (bit f for the f-th such query): every query's
+// pass index and liveness is a function of the cell, so a row costs one
+// increment however many queries share the pass.
+type cellTable struct {
+	keys    [4][]keyClass // indexed like passMasks
+	classes [4][]uint16   // class id -> mask, per dimension kind
+	stride  [4]int        // a class id's weight in a cell number
+	size    int
+}
+
+// newCellTable classifies every key of every dimension by its pass mask.
+// It panics when the table would exceed maxCells.
+func newCellTable(masks *passMasks, filtered int) *cellTable {
+	t := &cellTable{size: 1 << filtered}
+	for k := len(masks) - 1; k >= 0; k-- {
+		ids := map[uint16]uint32{}
+		t.keys[k] = make([]keyClass, len(masks[k]))
+		first := 0
+		if dimKind(k) != dimDate {
+			first = 1 // dense 1-based keys: slot 0 names no row
+		}
+		for key := first; key < len(masks[k]); key++ {
+			m := masks[k][key]
+			id, ok := ids[m]
+			if !ok {
+				id = uint32(len(t.classes[k]))
+				ids[m] = id
+				t.classes[k] = append(t.classes[k], m)
+			}
+			t.keys[k][key] = keyClass{mask: m, cell: id * uint32(t.size)}
+		}
+		t.stride[k] = t.size
+		if t.size *= len(t.classes[k]); t.size > maxCells {
+			panic(fmt.Sprintf("ssb: fact pass needs %d or more cells, at most %d", t.size, maxCells))
+		}
+	}
+	return t
+}
+
+// probeSets says which queries of a pass probe which dimension kinds. The
+// set of queries a row probes kind k for is live & counted[k] with every
+// query removed whose before[k][k2] the row's kind-k2 key fails.
+type probeSets struct {
+	// joins[k] has bit j set when query j joins the dimension of kind k.
+	joins [4]uint16
+	// before[k][k2] has bit j set when query j's rows must pass kind k2
+	// before they probe kind k: the date, which the scan evaluates, and
+	// every dimension before k in the query's Dims order.
+	before [4][4]uint16
+	// counted[k] holds one query of each group whose probes of kind k are
+	// the same on every row; same[k][j] is the counted query whose
+	// frequencies query j takes.
+	counted [4]uint16
+	same    [4][maxFused]int
+}
+
+// add records the probe plan of the query with mask bit whose joined
+// dimensions are dims.
+func (ps *probeSets) add(dims []DimFacts, bit uint16) {
+	date := false
+	for _, dim := range dims {
+		ps.joins[dim.kind] |= bit
+		date = date || dim.kind == dimDate
+	}
+	for x, dim := range dims {
+		if dim.kind == dimDate {
+			continue
+		}
+		if date {
+			ps.before[dim.kind][dimDate] |= bit
+		}
+		for _, prev := range dims[:x] {
+			ps.before[dim.kind][prev.kind] |= bit
+		}
+	}
+}
+
+// share groups the queries whose probes of a kind coincide on every row:
+// neither has an LOFilter, both must pass the same kinds first, and every
+// class of those kinds passes both or neither. The standard queries' Q2.x
+// all probe the part key of every row, for example, so one count serves
+// the three.
+func (ps *probeSets) share(qs []Query, t *cellTable) {
+	alike := func(k dimKind, a, b int) bool {
+		if qs[a].LOFilter != nil || qs[b].LOFilter != nil {
+			return false
+		}
+		for k2, need := range ps.before[k] {
+			if need>>a&1 != need>>b&1 {
+				return false
+			}
+			if need>>a&1 == 0 {
+				continue
+			}
+			for _, m := range t.classes[k2] {
+				if m>>a&1 != m>>b&1 {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for k := dimCust; k <= dimPart; k++ {
+		for j := range qs {
+			if ps.joins[k]>>j&1 == 0 {
+				continue
+			}
+			ps.same[k][j] = j
+			for r := range j {
+				if ps.counted[k]>>r&1 != 0 && alike(k, r, j) {
+					ps.same[k][j] = r
+					break
+				}
+			}
+			if ps.same[k][j] == j {
+				ps.counted[k] |= 1 << j
+			}
+		}
+	}
 }
 
 // factPass regenerates every fact row once, on the given number of
 // goroutines, and computes the facts of each query in qs (at most
-// maxFused). Each worker keeps private counters and group sums per query
-// over a contiguous row range; integer sums commute, so the merged facts
-// are the same for every worker count.
+// maxFused). Each worker keeps private cell counts, probe frequencies and
+// group sums over a contiguous row range; integer sums commute, so the
+// merged facts are the same for every worker count.
 func (d *Data) factPass(qs []Query, workers int) []*Facts {
 	if len(qs) > maxFused {
 		panic(fmt.Sprintf("ssb: %d queries in one fact pass, at most %d", len(qs), maxFused))
@@ -130,71 +258,115 @@ func (d *Data) factPass(qs []Query, workers int) []*Facts {
 		make([]uint16, len(d.Supplier)+1), make([]uint16, len(d.Part)+1),
 	}
 	facts := make([]*Facts, len(qs))
-	plans := make([]queryPlan, len(qs))
 	var filtered []int // the queries with fact-local predicates
+	var ps probeSets
 	for j := range qs {
 		facts[j] = &Facts{Dims: d.joinedDims(&qs[j], 1<<j, &masks), Result: Result{}}
-		plans[j] = planOf(facts[j].Dims)
+		ps.add(facts[j].Dims, 1<<j)
 		if qs[j].LOFilter != nil {
 			filtered = append(filtered, j)
 		}
 	}
+	t := newCellTable(&masks, len(filtered))
+	ps.share(qs, t)
+	all := uint16(1)<<len(qs) - 1
 
 	type partial struct {
-		hist   [][16]int64
-		freq   [][4][]int64 // [query][kind]; nil where the query never probes
+		cells  []int64
+		freq   [][4][]int64 // [query][kind]; nil unless the query is counted[kind]
 		groups []*Grouper
 	}
 	parts := make([]partial, max(workers, 1))
 	parallelRange(d.rows, workers, func(w, lo, hi int) {
-		p := partial{hist: make([][16]int64, len(qs)), freq: make([][4][]int64, len(qs)),
+		p := partial{cells: make([]int64, t.size), freq: make([][4][]int64, len(qs)),
 			groups: make([]*Grouper, len(qs))}
 		for j := range qs {
 			p.groups[j] = NewGrouper()
-			for _, dim := range facts[j].Dims {
-				if dim.kind != dimDate {
-					p.freq[j][dim.kind] = make([]int64, len(masks[dim.kind]))
+			for k := dimCust; k <= dimPart; k++ {
+				if ps.counted[k]>>j&1 != 0 {
+					p.freq[j][k] = make([]int64, len(masks[k]))
 				}
 			}
 		}
-		all := uint16(1)<<len(qs) - 1
 		row := new(Lineorder) // the filters take pointers; one row per worker
 		for i := lo; i < hi; i++ {
-			var di int
-			*row, di = d.row(i)
-			keys := [4]int{di, int(row.CustKey), int(row.SuppKey), int(row.PartKey)}
+			di := d.factRow(i, row)
+			keys := [4]uint32{uint32(di), row.CustKey, row.SuppKey, row.PartKey}
 			var m [4]uint16
-			for k := range m {
-				m[k] = masks[k][keys[k]]
+			cell := 0
+			for k := range keys {
+				c := &t.keys[k][keys[k]]
+				m[k] = c.mask
+				cell += int(c.cell)
 			}
 			live := all
-			for _, j := range filtered {
-				if !qs[j].LOFilter(row) {
+			for f, j := range filtered {
+				if qs[j].LOFilter(row) {
+					cell |= 1 << f
+				} else {
 					live &^= 1 << j
 				}
 			}
-			for j := range qs {
-				if live>>j&1 == 0 {
-					continue
+			p.cells[cell]++
+			for k := dimCust; k <= dimPart; k++ {
+				b := &ps.before[k]
+				probes := live & ps.counted[k] &^ (b[0] &^ m[0]) &^ (b[1] &^ m[1]) &^ (b[2] &^ m[2]) &^ (b[3] &^ m[3])
+				for ; probes != 0; probes &= probes - 1 {
+					p.freq[bits.TrailingZeros16(probes)][k][keys[k]]++
 				}
-				idx := m[0]>>j&1 | m[1]>>j&1<<1 | m[2]>>j&1<<2 | m[3]>>j&1<<3
-				p.hist[j][idx]++
-				for pr := plans[j].probes[idx]; pr != 0; pr &= pr - 1 {
-					k := bits.TrailingZeros8(pr)
-					p.freq[j][k][keys[k]]++
-				}
-				if idx == 15 {
-					q := &qs[j]
-					p.groups[j].Add(q, row, &d.Date[di], d.CustomerByKey(row.CustKey),
-						d.SupplierByKey(row.SuppKey), d.PartByKey(row.PartKey), q.Aggregate(row))
-				}
+			}
+			for qual := live & m[0] & m[1] & m[2] & m[3]; qual != 0; qual &= qual - 1 {
+				j := bits.TrailingZeros16(qual)
+				q := &qs[j]
+				p.groups[j].Add(q, row, &d.Date[di], d.CustomerByKey(row.CustKey),
+					d.SupplierByKey(row.SuppKey), d.PartByKey(row.PartKey), q.Aggregate(row))
 			}
 		}
 		parts[w] = p
 	})
 
+	// Sum the workers' cells, then expand each nonzero cell into the pass
+	// index histogram (bit k: passes kind k) of every query live in it.
+	cells := make([]int64, t.size)
+	for _, p := range parts {
+		for c, n := range p.cells {
+			cells[c] += n
+		}
+	}
+	hist := make([][16]int64, len(qs))
+	for c, n := range cells {
+		if n == 0 {
+			continue
+		}
+		var m [4]uint16
+		for k := range m {
+			m[k] = t.classes[k][c/t.stride[k]%len(t.classes[k])]
+		}
+		live := all
+		for f, j := range filtered {
+			if c>>f&1 == 0 {
+				live &^= 1 << j
+			}
+		}
+		for ; live != 0; live &= live - 1 {
+			j := bits.TrailingZeros16(live)
+			hist[j][m[0]>>j&1|m[1]>>j&1<<1|m[2]>>j&1<<2|m[3]>>j&1<<3] += n
+		}
+	}
+
 	for j, f := range facts {
+		// Every bit of a dimension the query does not join is set in every
+		// row's pass index (see passMasks), so remapping keeps only the
+		// joined dimensions' bits, in Dims order.
 		f.hist = make([]int64, 1<<len(f.Dims))
+		for idx, n := range hist[j] {
+			at := 0
+			for x, dim := range f.Dims {
+				at |= idx >> dim.kind & 1 << x
+			}
+			f.hist[at] += n
+			f.ScanSurvivors += n
+		}
 		for x := range f.Dims {
 			if k := f.Dims[x].kind; k != dimDate {
 				f.Dims[x].ProbeFreq = make([]int64, len(masks[k]))
@@ -204,13 +376,10 @@ func (d *Data) factPass(qs []Query, workers int) []*Facts {
 			if p.groups == nil {
 				continue
 			}
-			for idx, c := range p.hist[j] {
-				f.hist[plans[j].at[idx]] += c
-				f.ScanSurvivors += c
-			}
 			for x := range f.Dims {
-				for k, c := range p.freq[j][f.Dims[x].kind] {
-					f.Dims[x].ProbeFreq[k] += c
+				k := f.Dims[x].kind
+				for key, c := range p.freq[ps.same[k][j]][k] {
+					f.Dims[x].ProbeFreq[key] += c
 				}
 			}
 			p.groups[j].Emit(f.Result)
@@ -218,33 +387,6 @@ func (d *Data) factPass(qs []Query, workers int) []*Facts {
 		f.Qualifying = f.hist[len(f.hist)-1]
 	}
 	return facts
-}
-
-// planOf builds a query's pass-index plan from its joined dimensions.
-// Every bit of a dimension the query does not join is set in every row's
-// pass index (see passMasks), so index 15 is a row passing every join.
-func planOf(dims []DimFacts) queryPlan {
-	var p queryPlan
-	// A row probes a non-date dimension x when its Dims-order index holds
-	// the date bit and the bits of every dimension before x.
-	dateBit := uint8(0)
-	for x := range dims {
-		if dims[x].kind == dimDate {
-			dateBit = 1 << x
-		}
-	}
-	for idx := range p.at {
-		for x, dim := range dims {
-			p.at[idx] |= uint8(idx>>dim.kind&1) << x
-		}
-		for x, dim := range dims {
-			need := dateBit | (1<<x - 1)
-			if dim.kind != dimDate && p.at[idx]&need == need {
-				p.probes[idx] |= 1 << dim.kind
-			}
-		}
-	}
-	return p
 }
 
 // joinedDims evaluates q's dimension filters, sets bit in masks for the

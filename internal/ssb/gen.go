@@ -120,6 +120,8 @@ func Generate(sf float64) (*Data, error) {
 	d.Supplier = genSuppliers(supplierCount(sf))
 	d.Part = genParts(partCount(sf))
 	d.rows = lineorderCount(sf)
+	d.nDates, d.nCust = uint64(len(d.Date)), uint64(len(d.Customer))
+	d.nSupp, d.nPart = uint64(len(d.Supplier)), uint64(len(d.Part))
 	return d, nil
 }
 
@@ -331,13 +333,6 @@ func (d *Data) Rows() int { return d.rows }
 // Row regenerates fact row i, 0 <= i < Rows(). Each row draws from its own
 // newRNG(4, i), so it is the same on every call and in every process.
 func (d *Data) Row(i int) Lineorder {
-	lo, _ := d.row(i)
-	return lo
-}
-
-// row regenerates fact row i and returns it with its order date's index
-// in d.Date.
-func (d *Data) row(i int) (Lineorder, int) {
 	if uint(i) >= uint(d.rows) {
 		panic(fmt.Sprintf("ssb: fact row %d out of range [0, %d)", i, d.rows))
 	}
@@ -370,7 +365,32 @@ func (d *Data) row(i int) (Lineorder, int) {
 		Tax:           uint8(r.rangeInt(0, 8)),
 		CommitDate:    d.Date[commitIdx].DateKey,
 		ShipMode:      uint8(r.intn(len(shipModes))),
-	}, orderDateIdx
+	}
+}
+
+// factRow regenerates the columns of fact row i that a Query's closures may
+// read (see Query.LOFilter) into lo, and returns the order date's index in
+// d.Date. It makes Row's first eight draws, advances past the commit-date
+// draw without reducing it, and skips the four trailing draws; the other
+// columns of lo keep whatever they held. The fact pass's hot loop; i must
+// be in range.
+func (d *Data) factRow(i int, lo *Lineorder) (dateIdx int) {
+	r := newRNG(4, uint64(i))
+	quantity := uint8(r.rangeInt(1, 50))
+	extended := uint32(r.rangeInt(90_000, 10_494_950))
+	discount := uint8(r.rangeInt(0, 10))
+	dateIdx = int(r.next() % d.nDates)
+	r.next() // the commit date
+	lo.CustKey = uint32(r.next()%d.nCust + 1)
+	lo.PartKey = uint32(r.next()%d.nPart + 1)
+	lo.SuppKey = uint32(r.next()%d.nSupp + 1)
+	lo.OrderDate = d.Date[dateIdx].DateKey
+	lo.Quantity = quantity
+	lo.ExtendedPrice = extended
+	lo.Discount = discount
+	lo.Revenue = uint32(uint64(extended) * uint64(100-discount) / 100)
+	lo.SupplyCost = uint32(6 * int(extended) / 10)
+	return dateIdx
 }
 
 // parallelRange splits [0, n) into at most workers contiguous ranges and

@@ -26,12 +26,16 @@ type Query struct {
 	CustFilter func(*Customer) bool
 	SuppFilter func(*Supplier) bool
 	PartFilter func(*Part) bool
-	// LOFilter holds fact-local predicates (discount, quantity).
+	// LOFilter holds fact-local predicates (discount, quantity). It, and
+	// GroupBy, GroupAppend and Aggregate, may read only the fact columns
+	// the shared fact pass regenerates: CustKey, PartKey, SuppKey,
+	// OrderDate, Quantity, ExtendedPrice, Discount, Revenue and SupplyCost.
 	LOFilter func(*Lineorder) bool
 
 	NeedsCust, NeedsSupp, NeedsPart bool
 
 	// GroupBy renders the group key; empty string for scalar aggregates.
+	// Its fact row holds only the columns LOFilter lists.
 	GroupBy func(lo *Lineorder, d *Date, c *Customer, s *Supplier, p *Part) string
 	// GroupAppend, when non-nil, appends exactly GroupBy's bytes to dst
 	// and returns it. Engines use it with a reusable buffer so the hot
@@ -39,7 +43,8 @@ type Query struct {
 	// appears, not once per qualifying row
 	// (TestGroupAppendMatchesGroupBy pins the equivalence).
 	GroupAppend func(dst []byte, lo *Lineorder, d *Date, c *Customer, s *Supplier, p *Part) []byte
-	// Aggregate returns the row's contribution (revenue or profit, cents).
+	// Aggregate returns the row's contribution (revenue or profit, cents)
+	// from the columns LOFilter lists.
 	Aggregate func(lo *Lineorder) int64
 	// OrderBy orders two result rows per the query's ORDER BY clause; nil
 	// means ascending group key (which matches the flights whose keys embed

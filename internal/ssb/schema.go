@@ -106,6 +106,9 @@ type Data struct {
 
 	// rows is the fact table's row count.
 	rows int
+	// nDates, nCust, nSupp and nPart are the dimension cardinalities the
+	// fact-row generator reduces its draws by.
+	nDates, nCust, nSupp, nPart uint64
 
 	// dateIdx maps a DateSlot to its row in Date, -1 for slots that name
 	// no calendar day. Dimension keys other than the date's are dense and
