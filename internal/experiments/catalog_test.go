@@ -81,7 +81,7 @@ func TestMetricsTraceSHA256Pin(t *testing.T) {
 // TestSSBFactPassPerQuery: both SSB figures on one data set, four engines
 // and 13 queries between them, run one fact pass.
 func TestSSBFactPassPerQuery(t *testing.T) {
-	cfg := Config{SF: 0.0125, Quick: true} // a scale no other test shares
+	cfg := Config{SF: freshSF(), Quick: true}
 	data := dataAt(cfg.SF)
 	if n := data.FactPasses(); n != 0 {
 		t.Fatalf("fresh data set already ran %d fact passes", n)

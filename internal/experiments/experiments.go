@@ -200,12 +200,26 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func(Config) ([]Table, error)
+	// Inputs, when non-nil, builds what Run reads that no machine.Config
+	// changes: a generated SSB data set and its fact pass, or ext05's key
+	// partitions. Each input is memoized per process and counted, so Run
+	// finds it built and a run under another machine configuration
+	// recomputes none of it. RunConcurrent calls Inputs on a spare
+	// goroutine ahead of the entries that read them; calling Run alone
+	// builds the same inputs on first use. A failed build fails Run.
+	Inputs func(Config) error
 }
 
 var registry []Experiment
 
 func register(id, title string, run func(Config) ([]Table, error)) {
-	registry = append(registry, Experiment{ID: id, Title: title, Run: run})
+	registerWithInputs(id, title, nil, run)
+}
+
+// registerWithInputs registers an experiment whose Run reads the inputs
+// that inputs builds (see Experiment.Inputs).
+func registerWithInputs(id, title string, inputs func(Config) error, run func(Config) ([]Table, error)) {
+	registry = append(registry, Experiment{ID: id, Title: title, Run: run, Inputs: inputs})
 }
 
 // All returns the registered experiments in a stable order.
@@ -348,9 +362,18 @@ type Result struct {
 // predecessors have completed, so consumers can stream output while later
 // experiments are still running.
 //
+// When the list holds entries both with and without declared inputs, one
+// more goroutine builds the declared inputs, in the order the entries read
+// them, while the workers run the input-free entries first and the
+// input-bound ones after them, in ID order. Jobs bounds the experiments,
+// not that input build; results still leave in ID order, so the output is
+// the same at any width.
+//
 // Canceling ctx stops the run: experiments not yet started fail with the
-// context's error, and running experiments abort at their next sweep-loop
-// poll. The channel still delivers one Result per experiment and closes.
+// context's error, running experiments abort at their next sweep-loop
+// poll, and no further input is built. The channel still delivers one
+// Result per experiment and closes once every goroutine of the run is
+// done.
 func RunConcurrent(ctx context.Context, cfg Config, list []Experiment) <-chan Result {
 	if ctx == nil {
 		ctx = context.Background()
@@ -391,6 +414,37 @@ func RunConcurrent(ctx context.Context, cfg Config, list []Experiment) <-chan Re
 		return Result{Experiment: e, Tables: tables, Metrics: c.Metrics.Snapshot(), Trace: c.Trace, Err: err}
 	}
 
+	// order lists the input-free entries, then the input-bound ones; bound
+	// holds the latter, whose inputs the warmer builds meanwhile.
+	order := make([]int, 0, len(sorted))
+	var bound []Experiment
+	for i, e := range sorted {
+		if e.Inputs == nil {
+			order = append(order, i)
+		}
+	}
+	for i, e := range sorted {
+		if e.Inputs != nil {
+			order = append(order, i)
+			bound = append(bound, e)
+		}
+	}
+	warmed := make(chan struct{})
+	if len(bound) > 0 && len(bound) < len(sorted) {
+		go func() {
+			defer close(warmed)
+			for _, e := range bound {
+				if ctx.Err() != nil {
+					return
+				}
+				// Inputs memoize their failures; the entry's Run reports them.
+				_ = e.Inputs(cfg)
+			}
+		}()
+	} else {
+		close(warmed)
+	}
+
 	slots := make([]chan Result, len(sorted))
 	for i := range slots {
 		slots[i] = make(chan Result, 1)
@@ -399,10 +453,11 @@ func RunConcurrent(ctx context.Context, cfg Config, list []Experiment) <-chan Re
 	for w := 0; w < jobs; w++ {
 		go func() {
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(sorted) {
+				k := int(next.Add(1)) - 1
+				if k >= len(order) {
 					return
 				}
+				i := order[k]
 				slots[i] <- runOne(sorted[i])
 			}
 		}()
@@ -412,6 +467,7 @@ func RunConcurrent(ctx context.Context, cfg Config, list []Experiment) <-chan Re
 		for _, slot := range slots {
 			out <- <-slot
 		}
+		<-warmed
 		close(out)
 	}()
 	return out

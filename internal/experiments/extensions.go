@@ -20,8 +20,8 @@ import (
 
 func init() {
 	register("ext01", "Extension: Memory Mode working-set sweep (Section 2.1)", extMemoryMode)
-	register("ext02", "Extension: hybrid PMEM tables + DRAM indexes (Sections 5.2, 9)", extHybrid)
-	register("ext03", "Extension: price/performance of PMEM vs DRAM (Section 7)", extPrice)
+	registerWithInputs("ext02", "Extension: hybrid PMEM tables + DRAM indexes (Sections 5.2, 9)", ssbInputs, extHybrid)
+	registerWithInputs("ext03", "Extension: price/performance of PMEM vs DRAM (Section 7)", ssbInputs, extPrice)
 	register("ext04", "Extension: media write amplification and wear (Sections 2.1, 4)", extWear)
 }
 

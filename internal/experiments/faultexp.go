@@ -16,7 +16,7 @@ func init() {
 	register("fault01", "Fault injection: mid-scan DIMM thermal throttle (media ramp-down + hysteresis)", faultThrottle)
 	register("fault02", "Fault injection: PMEM channels offline during a scan", faultChannel)
 	register("fault03", "Fault injection: UPI link degradation and outage on far reads", faultUPI)
-	register("fault04", "Fault injection: SSB Q2.1 with and without placement re-planning", faultReplan)
+	registerWithInputs("fault04", "Fault injection: SSB Q2.1 with and without placement re-planning", ssbInputs, faultReplan)
 }
 
 // faultMachineConfig returns this run's machine config with the plan

@@ -11,7 +11,7 @@ import (
 )
 
 func init() {
-	register("ext07", "Extension: query latency under concurrent ingestion (Section 5.1)", extIngest)
+	registerWithInputs("ext07", "Extension: query latency under concurrent ingestion (Section 5.1)", ssbInputs, extIngest)
 }
 
 // extIngest runs Q2.1 (probe-heavy) and Q1.1 (scan-bound) while 0-6 ingest

@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	register("ext06", "Extension: bulk data import at sf 100 (Section 4's motivating workload)", extLoad)
+	registerWithInputs("ext06", "Extension: bulk data import at sf 100 (Section 4's motivating workload)", ssbDataInputs, extLoad)
 }
 
 // extLoad times the initial 76.8 GB import of the SSB database at different

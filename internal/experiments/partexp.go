@@ -35,6 +35,7 @@ var ext05Cases = []struct {
 // (ZipfKeys' math.Pow per key dominated a warm ext05 run). Only the
 // per-socket counts are kept, not the per-tuple sockets.
 var ext05Assignments = sync.OnceValues(func() ([]partition.Assignment, error) {
+	inputBuilds.ext05.Add(1)
 	keysBySkew := map[float64][]uint64{}
 	asgs := make([]partition.Assignment, len(ext05Cases))
 	for i, c := range ext05Cases {
@@ -53,8 +54,14 @@ var ext05Assignments = sync.OnceValues(func() ([]partition.Assignment, error) {
 	return asgs, nil
 })
 
+// ext05Inputs builds ext05Assignments.
+func ext05Inputs(Config) error {
+	_, err := ext05Assignments()
+	return err
+}
+
 func init() {
-	register("ext05", "Extension: partitioning schemes under skew (Sections 3.5, 6.2)", extPartition)
+	registerWithInputs("ext05", "Extension: partitioning schemes under skew (Sections 3.5, 6.2)", ext05Inputs, extPartition)
 }
 
 // extPartition quantifies Insight #5's "evenly distributed data sets":

@@ -48,30 +48,38 @@ func ConfigFromJSON(r io.Reader) (Config, error) {
 	return cfg, nil
 }
 
-// checkRates rejects a device rate or access granularity that is not a
-// positive finite number. A zero rate stalls the engine and a negative one
-// runs to a wrong answer, so either must fail before any run starts.
+// MinBytesPerSec is the smallest device rate, in bytes per second, that
+// ConfigFromJSON accepts for the *BytesPerSec leaves: three orders of
+// magnitude below any calibrated device. Much slower rates push the serving
+// co-simulation past its event budget and round bandwidths to nothing, a
+// failure of the request rather than an answer.
+const MinBytesPerSec = 1e6
+
+// checkRates rejects a device rate below MinBytesPerSec or an access
+// granularity below one byte, and any infinite value. A zero rate stalls
+// the engine, a negative one runs to a wrong answer, and a tiny one
+// exhausts the event loop, so each must fail before any run starts.
 func (c *Config) checkRates() error {
 	rates := []struct {
-		name string
-		v    float64
+		name   string
+		v, min float64
 	}{
-		{"PMEM.MediaReadBytesPerSec", c.PMEM.MediaReadBytesPerSec},
-		{"PMEM.MediaWriteBytesPerSec", c.PMEM.MediaWriteBytesPerSec},
-		{"DRAM.SocketReadBytesPerSec", c.DRAM.SocketReadBytesPerSec},
-		{"DRAM.SocketWriteBytesPerSec", c.DRAM.SocketWriteBytesPerSec},
-		{"DRAM.SystemReadBytesPerSec", c.DRAM.SystemReadBytesPerSec},
-		{"UPI.RawBytesPerSecPerDir", c.UPI.RawBytesPerSecPerDir},
-		{"UPI.ColdReadCapBytesPerSec", c.UPI.ColdReadCapBytesPerSec},
-		{"SSD.SeqReadBytesPerSec", c.SSD.SeqReadBytesPerSec},
-		{"SSD.SeqWriteBytesPerSec", c.SSD.SeqWriteBytesPerSec},
-		{"SSD.RandReadBytesPerSec", c.SSD.RandReadBytesPerSec},
-		{"SSD.RandWriteBytesPerSec", c.SSD.RandWriteBytesPerSec},
-		{"PMEM.Granularity", float64(c.PMEM.Granularity)},
+		{"PMEM.MediaReadBytesPerSec", c.PMEM.MediaReadBytesPerSec, MinBytesPerSec},
+		{"PMEM.MediaWriteBytesPerSec", c.PMEM.MediaWriteBytesPerSec, MinBytesPerSec},
+		{"DRAM.SocketReadBytesPerSec", c.DRAM.SocketReadBytesPerSec, MinBytesPerSec},
+		{"DRAM.SocketWriteBytesPerSec", c.DRAM.SocketWriteBytesPerSec, MinBytesPerSec},
+		{"DRAM.SystemReadBytesPerSec", c.DRAM.SystemReadBytesPerSec, MinBytesPerSec},
+		{"UPI.RawBytesPerSecPerDir", c.UPI.RawBytesPerSecPerDir, MinBytesPerSec},
+		{"UPI.ColdReadCapBytesPerSec", c.UPI.ColdReadCapBytesPerSec, MinBytesPerSec},
+		{"SSD.SeqReadBytesPerSec", c.SSD.SeqReadBytesPerSec, MinBytesPerSec},
+		{"SSD.SeqWriteBytesPerSec", c.SSD.SeqWriteBytesPerSec, MinBytesPerSec},
+		{"SSD.RandReadBytesPerSec", c.SSD.RandReadBytesPerSec, MinBytesPerSec},
+		{"SSD.RandWriteBytesPerSec", c.SSD.RandWriteBytesPerSec, MinBytesPerSec},
+		{"PMEM.Granularity", float64(c.PMEM.Granularity), 1},
 	}
 	for _, r := range rates {
-		if !(r.v > 0) || math.IsInf(r.v, 1) {
-			return fmt.Errorf("machine: %s must be positive and finite, got %g", r.name, r.v)
+		if !(r.v >= r.min) || math.IsInf(r.v, 1) {
+			return fmt.Errorf("machine: %s must be finite and at least %g, got %g", r.name, r.min, r.v)
 		}
 	}
 	return nil

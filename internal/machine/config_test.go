@@ -61,8 +61,9 @@ func TestConfigFromJSONRejectsBad(t *testing.T) {
 	}
 }
 
-// TestConfigFromJSONRejectsBadRates: every device rate and the PMEM access
-// granularity must be positive; the error names the field.
+// TestConfigFromJSONRejectsBadRates: every device rate must be at least
+// MinBytesPerSec and the PMEM access granularity positive; the error names
+// the field. A rate at the floor is accepted.
 func TestConfigFromJSONRejectsBadRates(t *testing.T) {
 	fields := map[string][]string{
 		"PMEM": {"MediaReadBytesPerSec", "MediaWriteBytesPerSec", "Granularity"},
@@ -74,16 +75,20 @@ func TestConfigFromJSONRejectsBadRates(t *testing.T) {
 	for dev, leaves := range fields {
 		for _, leaf := range leaves {
 			n++
-			for _, v := range []string{"0", "-1"} {
+			bad := []string{"0", "-1"}
+			if leaf != "Granularity" {
+				bad = append(bad, "1", "1e-300", "999999.9")
+			}
+			for _, v := range bad {
 				in := fmt.Sprintf(`{%q: {%q: %s}}`, dev, leaf, v)
 				_, err := ConfigFromJSON(strings.NewReader(in))
 				if err == nil || !strings.Contains(err.Error(), dev+"."+leaf) {
 					t.Errorf("ConfigFromJSON(%s): error %v, want one naming %s.%s", in, err, dev, leaf)
 				}
 			}
-			in := fmt.Sprintf(`{%q: {%q: 1e-3}}`, dev, leaf)
+			in := fmt.Sprintf(`{%q: {%q: %g}}`, dev, leaf, MinBytesPerSec)
 			if leaf == "Granularity" {
-				in = fmt.Sprintf(`{%q: {%q: 64}}`, dev, leaf)
+				in = fmt.Sprintf(`{%q: {%q: 1}}`, dev, leaf)
 			}
 			if _, err := ConfigFromJSON(strings.NewReader(in)); err != nil {
 				t.Errorf("ConfigFromJSON(%s): %v", in, err)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/machine"
 	"repro/internal/metrics"
 )
 
@@ -231,5 +232,28 @@ func TestBadMachineRateRejected(t *testing.T) {
 		if v := counter(t, s, name); v != 0 {
 			t.Errorf("%s = %v after rejected requests, want 0", name, v)
 		}
+	}
+}
+
+// TestMachineRateFloor: a positive device rate below machine.MinBytesPerSec
+// is a 400 naming the field, not a 500 from an exhausted event loop; the
+// serving experiment that exhausted it runs at the floor.
+func TestMachineRateFloor(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	for _, v := range []string{"1", "1e-300", "999999"} {
+		resp, body := postRun(t, ts, `{"id":"serve01","quick":true,"machine":{"PMEM":{"MediaReadBytesPerSec":`+v+`}}}`)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("rate %s: status %d, want 400; body %s", v, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), "PMEM.MediaReadBytesPerSec") {
+			t.Errorf("rate %s: error %s does not name PMEM.MediaReadBytesPerSec", v, body)
+		}
+	}
+	if v := counter(t, s, "server_jobs_done"); v != 0 {
+		t.Errorf("server_jobs_done = %v after rejected requests, want 0", v)
+	}
+	resp, body := postRun(t, ts, fmt.Sprintf(`{"id":"serve01","quick":true,"machine":{"PMEM":{"MediaReadBytesPerSec":%g}}}`, machine.MinBytesPerSec))
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("rate at the floor: status %d, want 200; body %s", resp.StatusCode, body)
 	}
 }

@@ -82,14 +82,22 @@ func (d *Data) Facts(q Query) *Facts {
 	qs := standardQueries()
 	for j := range qs {
 		if qs[j].ID == q.ID {
-			return d.Memo("ssb/facts", func() any {
-				return d.factPass(qs, runtime.GOMAXPROCS(0))
-			}).([]*Facts)[j]
+			return d.StandardFacts()[j]
 		}
 	}
 	return d.Memo("ssb/facts/"+q.ID, func() any {
 		return d.factPass([]Query{q}, runtime.GOMAXPROCS(0))[0]
 	}).(*Facts)
+}
+
+// StandardFacts returns the 13 standard queries' facts on d, in Queries()
+// order, running their fused pass on first use. A caller may call it to
+// build the pass ahead of the engines that read it; callers must not
+// modify the result.
+func (d *Data) StandardFacts() []*Facts {
+	return d.Memo("ssb/facts", func() any {
+		return d.factPass(standardQueries(), runtime.GOMAXPROCS(0))
+	}).([]*Facts)
 }
 
 // FactPasses reports how many fact passes have run on d.
